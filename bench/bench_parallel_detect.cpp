@@ -30,7 +30,7 @@ using namespace race2d;
 
 // Detection-bound fork tree: every leaf hammers a small shared pool plus
 // a private slot, so the work IS the detector (record + resolve), not the
-// task bodies. Shape chosen so labels stay within a couple of words.
+// task bodies.
 constexpr std::size_t kWidth = 32;    // children under the root
 constexpr std::size_t kReps = 2000;   // accesses loops per child
 constexpr std::size_t kShared = 64;   // shared locations (mostly clean)

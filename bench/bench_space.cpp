@@ -4,11 +4,16 @@
 // between (flat until reads are concurrent, then linear); SP-bags is flat
 // but SP-only. The workload makes every task read a small set of shared
 // locations, the worst case for per-location read metadata.
+//
+// The fork-loop rows hold the per-TASK half of Theorem 5: n iterations of
+// `fork; write; halt; join; write` must cost the same bytes per task (and
+// ns per event) at every n, for the DSU and for the DePa list clock.
 #include <benchmark/benchmark.h>
 
 #include "baselines/fasttrack.hpp"
 #include "baselines/vector_clock.hpp"
 #include "bench_common.hpp"
+#include "core/depa_detector.hpp"
 #include "core/detector.hpp"
 
 namespace {
@@ -63,6 +68,52 @@ void BM_Space_FastTrack(benchmark::State& state) {
   run_space<FastTrackDetector>(state);
 }
 
+// The serial fork loop: every structural event appends at the tail of both
+// DePa lists, so every insert takes the fixed tail stride.
+Trace fork_loop_trace(std::size_t n) {
+  Trace t;
+  for (TaskId c = 1; c <= n; ++c) {
+    t.push_back({TraceOp::kFork, 0, c, 0});
+    t.push_back({TraceOp::kWrite, c, kInvalidTask, 0});
+    t.push_back({TraceOp::kHalt, c, kInvalidTask, 0});
+    t.push_back({TraceOp::kJoin, 0, c, 0});
+    t.push_back({TraceOp::kWrite, 0, kInvalidTask, 0});
+  }
+  t.push_back({TraceOp::kHalt, 0, kInvalidTask, 0});
+  return t;
+}
+
+template <typename Detector>
+void run_fork_loop(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Trace trace = fork_loop_trace(n);
+  double bytes_per_task = 0;
+  for (auto _ : state) {
+    Detector det;
+    benchutil::drive(det, trace);
+    bytes_per_task = static_cast<double>(det.footprint().per_task_bytes) /
+                     static_cast<double>(n + 1);
+    benchmark::DoNotOptimize(det.race_found());
+  }
+  const double events = static_cast<double>(trace.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.size()));
+  // An inverted rate of events/1e9 per iteration reads as ns per event.
+  state.counters["ns_per_event"] = benchmark::Counter(
+      events / 1e9, benchmark::Counter::kIsIterationInvariantRate |
+                        benchmark::Counter::kInvert);
+  state.counters["bytes_per_task"] = bytes_per_task;
+}
+
+void BM_DsuForkLoop(benchmark::State& state) {
+  run_fork_loop<OnlineRaceDetector>(state);
+}
+void BM_DepaForkLoop(benchmark::State& state) {
+  run_fork_loop<DePaDetector>(state);
+}
+
+BENCHMARK(BM_DsuForkLoop)->Arg(1024)->Arg(8192)->Arg(65536);
+BENCHMARK(BM_DepaForkLoop)->Arg(1024)->Arg(8192)->Arg(65536);
 BENCHMARK(BM_Space_Suprema2D)->RangeMultiplier(4)->Range(16, 16384);
 BENCHMARK(BM_Space_VectorClock)->RangeMultiplier(4)->Range(16, 16384);
 BENCHMARK(BM_Space_FastTrack)->RangeMultiplier(4)->Range(16, 16384);

@@ -8,6 +8,7 @@
 #   BENCH_io.json       bench_io              — trace codec + service (E12)
 #   BENCH_parallel.json bench_parallel_detect — parallel online detection (E13)
 #   BENCH_service.json  bench_service         — worker-pool saturation (E15)
+#   BENCH_core.json     bench_space (fork-loop rows) — per-task space (E2b)
 #
 # Snapshots are produced from a dedicated Release tree (build-bench/): the
 # dev tree's build type is whatever the developer last configured, and a
@@ -20,6 +21,8 @@
 #   * BM_CompressedDecode's v1/v2 size ratio >= 2x on the repetitive
 #     workload, and BM_RunReplay/1 (compressed ingest with the run fast
 #     path) >= 1.5x BM_RunReplay/0 (plain ingest) on events/s (E17).
+#   * BM_DepaForkLoop bytes/task at n = 65536 <= 1.2x the n = 1024 row:
+#     the DePa clock keeps Theorem 5's Θ(1) space per task (E2b).
 #   * BM_ParallelOnlineDetect/4 >= 2x BM_SerialOnlineDetect — enforced only
 #     when the machine has >= 4 CPUs; on smaller hosts the parallel rows
 #     bound overhead, not speedup (same caveat as E7).
@@ -46,15 +49,16 @@ fi
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-bench -j "$(nproc)" \
   --target bench_static bench_sharded bench_io bench_parallel_detect \
-  bench_service
+  bench_service bench_space
 
 run_bench() {
   local bin="$1" out="$2"
+  shift 2
   echo "== ${bin} -> ${out}"
   # Write to a staging file so the gates below can compare against the
   # checked-in baseline before it is overwritten.
   "./build-bench/bench/${bin}" --json "${out}.new" \
-    --benchmark_repetitions=1 "${extra[@]}"
+    --benchmark_repetitions=1 "$@" "${extra[@]}"
 }
 
 run_bench bench_static BENCH_static.json
@@ -62,6 +66,7 @@ run_bench bench_sharded BENCH_sharded.json
 run_bench bench_io BENCH_io.json
 run_bench bench_parallel_detect BENCH_parallel.json
 run_bench bench_service BENCH_service.json
+run_bench bench_space BENCH_core.json --benchmark_filter=ForkLoop
 
 python3 - <<'EOF'
 import json
@@ -70,7 +75,7 @@ import os
 import sys
 
 SNAPSHOTS = ["BENCH_static.json", "BENCH_sharded.json", "BENCH_io.json",
-             "BENCH_parallel.json", "BENCH_service.json"]
+             "BENCH_parallel.json", "BENCH_service.json", "BENCH_core.json"]
 # Key throughput rows held to the <=20% regression gate. Names must match
 # the google-benchmark `name` field exactly.
 GATED = {
@@ -129,6 +134,18 @@ print(f"bench.sh: run replay {zfast:.3g} events/s compressed vs "
 if zspeed < 1.5:
     print(f"bench.sh: FAILED: run-aware replay only {zspeed:.2f}x plain "
           f"ingest on the repetitive workload (< 1.5x gate)")
+    failed = True
+
+# Gate 1c: the DePa clock costs Theorem 5's Θ(1) bytes per task on the
+# serial fork loop (E2b): the n = 65536 row within 1.2x of the n = 1024 row.
+_, core_rows = rows("BENCH_core.json.new")
+small = core_rows["BM_DepaForkLoop/1024"]["bytes_per_task"]
+large = core_rows["BM_DepaForkLoop/65536"]["bytes_per_task"]
+print(f"bench.sh: DePa serial fork loop {small:.0f} B/task at n=1024, "
+      f"{large:.0f} B/task at n=65536 ({large / small:.2f}x)")
+if large > 1.2 * small:
+    print(f"bench.sh: FAILED: DePa bytes/task grows {large / small:.2f}x "
+          f"from n=1024 to n=65536 (> 1.2x gate)")
     failed = True
 
 # Gate 2: parallel online detection >= 2x serial at 4 workers (E13),

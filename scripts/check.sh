@@ -8,7 +8,8 @@
 # concurrency-bearing tests (the sharded trace analyzer spawns real threads; TSan checks the
 # workers share nothing but the read-only trace and their private
 # reporters, and the parallel ONLINE detector does detection inside the
-# pool itself — immutable labels, per-worker buffers, striped cells).
+# pool itself — a relabel-locked order-maintenance clock, per-worker
+# buffers, striped cells).
 # clang-tidy is a gated stage when installed: findings in the
 # WarningsAsErrors families of .clang-tidy fail the gate (scripts/tidy.sh
 # still exits 0 when the tool is absent, as in the reference container).
@@ -193,9 +194,10 @@ if [[ "${RACE2D_SKIP_TSAN:-0}" == "1" ]]; then
 else
   echo "== ThreadSanitizer build (sharded analyzer + parallel executor + parallel online detector + service pool)"
   # parallel_online_test is the detection-INSIDE-the-pool stress: workers
-  # publish immutable labels, buffer accesses, and resolve against striped
-  # shadow cells while hammering overlapping locations; any missing fence
-  # on that path is a TSan report here. service_pool_test hammers STATS
+  # buffer accesses and resolve them against striped shadow cells while
+  # hammering overlapping locations, and the root's forks relabel the
+  # clock's order lists under those flushes; any missing fence or lock on
+  # that path is a TSan report here. service_pool_test hammers STATS
   # against concurrent feeds (the metrics counters must be atomics), and
   # service_fuzz_test runs adversarial clients against the live epoll
   # thread + worker shards.

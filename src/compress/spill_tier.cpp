@@ -69,10 +69,14 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
   file += payload;
 
   if (file.size() > budget_) return result;  // would never fit
-  while (bytes_ + file.size() > budget_ && !lru_.empty()) {
-    const std::uint32_t victim = lru_.front();
-    result.dropped.push_back(victim);
-    drop_entry(victim);
+  // Pick the LRU victims now, but drop them only once the new file is in
+  // place: a failed write must leave every victim loadable.
+  std::vector<std::uint32_t> victims;
+  std::uint64_t kept = bytes_;
+  for (auto it = lru_.begin(); kept + file.size() > budget_ && it != lru_.end();
+       ++it) {
+    victims.push_back(*it);
+    kept -= index_.at(*it).bytes;
   }
 
   // tmp + rename: a crash mid-write leaves no torn `.spill` entry.
@@ -93,6 +97,8 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
     return result;
   }
 
+  for (const std::uint32_t victim : victims) drop_entry(victim);
+  result.dropped = std::move(victims);
   lru_.push_back(id);
   Entry e;
   e.lru = std::prev(lru_.end());

@@ -6,7 +6,8 @@
 // FEED or explicit RESTORE rehydrates it transparently. The tier is LRU
 // over COMPRESSED file bytes: storing past the budget drops the
 // least-recently-spilled sessions (the caller tombstones them — they are
-// gone for real).
+// gone for real). Victims are dropped only after the new file is written
+// and renamed into place, so a failed write loses nothing already spilled.
 //
 //   file := "R2DSPILL" version:u8=1 session_id:u32 payload_len:u32
 //           crc:u32(payload, CRC32C) payload = blob_compress(snapshot blob)
@@ -45,10 +46,11 @@ class SpillTier {
   struct StoreResult {
     bool stored = false;  ///< false: blob exceeds the whole budget, or I/O
                           ///< failed — the caller falls back to tombstoning
-    std::vector<std::uint32_t> dropped;  ///< LRU victims deleted to make room
+    std::vector<std::uint32_t> dropped;  ///< LRU victims deleted to make room;
+                                         ///< empty whenever stored is false
   };
-  /// Compresses and writes `blob` for session `id`, evicting LRU entries
-  /// until the tier fits its budget.
+  /// Compresses and writes `blob` for session `id`, then evicts LRU entries
+  /// until the tier fits its budget. On failure no other entry is touched.
   StoreResult store(std::uint32_t id, const std::string& blob);
 
   /// Reads back (and ALWAYS removes) session `id`'s blob. On failure

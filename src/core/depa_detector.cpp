@@ -1,7 +1,5 @@
 #include "core/depa_detector.hpp"
 
-#include <unordered_map>
-
 #include "runtime/trace.hpp"
 #include "support/assert.hpp"
 
@@ -29,9 +27,10 @@ void DePaDetector::on_join(TaskId joiner, TaskId joined) {
 }
 
 void DePaDetector::on_halt(TaskId t) {
-  // Labels need no halt action: the task's final interval stays published
-  // and is what a later join reads. (The DSU needs the stop-arc to keep its
-  // line representation in step; there is no such shared structure here.)
+  // The clock needs no halt action: the task's final interval stays
+  // published and is what a later join reads. (The DSU needs the stop-arc
+  // to keep its line representation in step; there is no such shared
+  // structure here.)
   R2D_REQUIRE(t < cur_.size(), "unknown task in halt");
 }
 
@@ -82,16 +81,8 @@ void DePaDetector::on_retire(TaskId t, Loc loc) {
 DePaDetector::State DePaDetector::export_state() const {
   State s;
   s.clock = clock_.export_state();
-  std::unordered_map<const OmInterval*, std::uint64_t> index;
-  index.reserve(s.clock.intervals.size());
-  clock_.for_each_interval([&index](std::size_t i, const OmInterval* iv) {
-    index.emplace(iv, static_cast<std::uint64_t>(i));
-  });
-  const auto to_index = [&index](const OmInterval* p) {
-    if (p == nullptr) return kNullInterval;
-    const auto it = index.find(p);
-    R2D_ASSERT(it != index.end());
-    return it->second;
+  const auto to_index = [](const OmInterval* p) {
+    return p == nullptr ? kNullInterval : std::uint64_t{p->index};
   };
   s.cur.reserve(cur_.size());
   for (const OmInterval* p : cur_) s.cur.push_back(to_index(p));

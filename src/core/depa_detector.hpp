@@ -3,26 +3,27 @@
 // DePaDetector consumes the same thread-level event stream as
 // OnlineRaceDetector (fork/join/halt + read/write/retire in serial
 // fork-first order) but answers every precedence query from the two
-// OmClock labels instead of the labeled DSU. Verdicts — and reports,
-// bit-for-bit — match the Figure 6 detector:
+// OmClock list positions instead of the labeled DSU. Verdicts — and
+// reports, bit-for-bit — match the Figure 6 detector:
 //
 //   * every prior access ⊑ t   ⟺   sup(prior set) ⊑ t        (DSU world)
-//                              ⟺   E-max ⊑_E t ∧ H-max ⊑_H t  (label world)
+//                              ⟺   E-max ⊑_E t ∧ H-max ⊑_H t  (list world)
 //
 // because "all of S before t" distributes over the two dimensions, the
 // shadow cell keeps the componentwise maxima of the reader and writer sets
 // (four interval pointers) in place of the two DSU suprema — still Θ(1)
 // per location. The owner fast path mirrors ShadowCell's epoch cache with
-// one improvement the immutable labels buy: a cached "everything ⊑ me"
+// one simplification the list order buys: a cached "everything ⊑ me"
 // verdict can never be invalidated by later structural events (a task's
-// later intervals only move up the order), so no version stamp is needed.
+// later intervals only move up both lists, and a relabel rewrites tags
+// without reordering nodes), so no version stamp is needed.
 //
-// What the backend buys: queries touch only immutable labels, so they are
-// safe to issue from many threads at once — this is the substrate of
-// ParallelOnlineDetector (core/parallel_detector.hpp), which runs detection
-// INSIDE a parallel execution. What it costs: Θ(depth) label bits per task
-// instead of the DSU's Θ(1) mutable words, and no single-supremum
-// compression (four pointers per cell instead of two ids).
+// Cost: Θ(1) per task — a few intervals of two tagged list nodes each —
+// and two 64-bit compares per precedence query; no single-supremum
+// compression (four pointers per cell instead of two ids). Tags move
+// during relabels, so queries are only safe where relabels are excluded:
+// serial replay trivially, ParallelOnlineDetector
+// (core/parallel_detector.hpp) under its clock-wide shared lock.
 #pragma once
 
 #include <cstddef>
@@ -53,12 +54,11 @@ namespace detail {
 /// maximum (equality means "same interval", which is ordered).
 inline bool class_ordered(const OmInterval* emax, const OmInterval* hmax,
                           const OmInterval* v) {
-  return OmLabel::compare(emax->e, v->e) <= 0 &&
-         OmLabel::compare(hmax->h, v->h) <= 0;
+  return emax->e.tag <= v->e.tag && hmax->h.tag <= v->h.tag;
 }
 
-/// On-Read over labels, mirroring shadow_read (§2.3 read rule: reads race
-/// only with prior writes). `v` is task t's current interval.
+/// On-Read over list positions, mirroring shadow_read (§2.3 read rule:
+/// reads race only with prior writes). `v` is task t's current interval.
 inline void depa_read(DepaShadowCell& cell, const OmInterval* v, TaskId t,
                       Loc loc, std::size_t ordinal, RaceReporter& reporter) {
   if (cell.owner == t) {
@@ -75,9 +75,9 @@ inline void depa_read(DepaShadowCell& cell, const OmInterval* v, TaskId t,
     clean = false;
   }
   const bool folded_e =
-      cell.read_emax == nullptr || OmLabel::compare(cell.read_emax->e, v->e) < 0;
+      cell.read_emax == nullptr || cell.read_emax->e.tag < v->e.tag;
   const bool folded_h =
-      cell.read_hmax == nullptr || OmLabel::compare(cell.read_hmax->h, v->h) < 0;
+      cell.read_hmax == nullptr || cell.read_hmax->h.tag < v->h.tag;
   if (folded_e) cell.read_emax = v;
   if (folded_h) cell.read_hmax = v;
   // Cache only the fully-ordered outcome: prior writes ⊑ v (clean) and
@@ -85,8 +85,8 @@ inline void depa_read(DepaShadowCell& cell, const OmInterval* v, TaskId t,
   cell.owner = (clean && folded_e && folded_h) ? t : kInvalidTask;
 }
 
-/// On-Write over labels, mirroring shadow_write: a write races with prior
-/// reads and prior writes (readers checked first, like Figure 6).
+/// On-Write over list positions, mirroring shadow_write: a write races
+/// with prior reads and prior writes (readers checked first, like Figure 6).
 inline void depa_write(DepaShadowCell& cell, const OmInterval* v, TaskId t,
                        Loc loc, std::size_t ordinal, RaceReporter& reporter) {
   if (cell.owner == t) {
@@ -103,17 +103,17 @@ inline void depa_write(DepaShadowCell& cell, const OmInterval* v, TaskId t,
     reporter.report({loc, t, AccessKind::kWrite, AccessKind::kWrite, ordinal});
     clean = false;
   }
-  const bool folded_e = cell.write_emax == nullptr ||
-                        OmLabel::compare(cell.write_emax->e, v->e) < 0;
-  const bool folded_h = cell.write_hmax == nullptr ||
-                        OmLabel::compare(cell.write_hmax->h, v->h) < 0;
+  const bool folded_e =
+      cell.write_emax == nullptr || cell.write_emax->e.tag < v->e.tag;
+  const bool folded_h =
+      cell.write_hmax == nullptr || cell.write_hmax->h.tag < v->h.tag;
   if (folded_e) cell.write_emax = v;
   if (folded_h) cell.write_hmax = v;
   cell.owner = (clean && folded_e && folded_h) ? t : kInvalidTask;
 }
 
-/// On-Retire over labels, mirroring shadow_retire: checked like a write
-/// (readers first), then the caller drops the cell.
+/// On-Retire over list positions, mirroring shadow_retire: checked like a
+/// write (readers first), then the caller drops the cell.
 inline void depa_retire_check(const DepaShadowCell& cell, const OmInterval* v,
                               TaskId t, Loc loc, std::size_t ordinal,
                               RaceReporter& reporter) {
@@ -151,7 +151,7 @@ class DePaDetector {
   void on_retire(TaskId t, Loc loc);
 
   /// True iff task x's last-published interval is ordered before task t's
-  /// current interval — eq. (6) in label form. Exposed for tests.
+  /// current interval — eq. (6) in list form. Exposed for tests.
   bool ordered_before(TaskId x, TaskId t) const {
     return OmClock::ordered_before(cur_[x], cur_[t]);
   }
@@ -176,12 +176,12 @@ class DePaDetector {
   std::size_t access_count() const { return access_count_; }
   std::size_t tracked_locations() const { return cells_.size(); }
 
-  /// Shadow = per-location cells; per-task = clock arena + label words.
+  /// Shadow = per-location cells; per-task = clock arena + task table. O(1).
   MemoryFootprint footprint() const;
 
   /// Snapshot image. Interval pointers are replaced by arena allocation
   /// indices (kNullInterval = "no prior access of that kind"), which are
-  /// deterministic across processes — see OmClock::for_each_interval.
+  /// deterministic across processes — see OmClock::interval_at.
   static constexpr std::uint64_t kNullInterval = ~std::uint64_t{0};
   struct CellState {
     Loc loc = 0;
@@ -214,7 +214,7 @@ class DePaDetector {
   std::size_t access_count_ = 0;
 };
 
-/// Replays `trace` through one DePaDetector — the panel's label-backend
+/// Replays `trace` through one DePaDetector — the panel's list-backend
 /// reference, bit-identical to detect_races_trace on lint-clean traces.
 /// Lint-failing traces raise TraceLintError unless the gate is kSkip.
 std::vector<RaceReport> detect_races_trace_depa(

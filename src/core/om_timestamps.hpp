@@ -6,8 +6,7 @@
 // certifies this offline via a Dushnik–Miller 2-realizer). This module
 // maintains those two linear orders ONLINE, in the style of DePa
 // (arXiv 2204.14168) and SP-order: every task *interval* — a maximal run
-// of operations between structural events — carries two immutable
-// fork-path labels giving its position in
+// of operations between structural events — sits at one position in each of
 //
 //   E, the fork-first ("English") linear extension: a forked child's
 //      intervals come before the parent's continuation, and
@@ -18,82 +17,92 @@
 // exactly E/H disagreement — the two traversal directions of the planar
 // diagram pull incomparable intervals apart.
 //
-// Labels are DePa-style fork paths: bit strings extended at each
-// structural event, never mutated afterwards. Inserting the k-th element
-// immediately after anchor A yields label A·0^{k-1}1, which sorts after A
-// (prefix-first) and before every earlier insertion after A — the classic
-// trie embedding of an order-maintenance list that needs NO relabeling.
-// Label length grows with the dag depth (DePa's bound), i.e. one or two
-// bits per structural event along a task's history; balanced fork trees
-// stay within the two inline words.
+// Each list is an order-maintenance list with 64-bit tags (Bender, Cole,
+// Demaine, Farach-Colton, Zito 2002, "Two simplified algorithms for
+// maintaining order in a list"): tags increase along the list, so list
+// order is one integer compare and a precedence query is two. Every
+// structural event is an insert_after(anchor). A new node takes a tag
+// inside the gap after its anchor — a fixed stride of 2^32 when the gap is
+// wide (serial chains append at the tail of both lists on every structural
+// event, and halving the tail gap would exhaust it in 64 steps), else the
+// midpoint. When the gap is closed, the smallest aligned tag range around
+// the anchor whose density is under the (2/T)^i threshold (T = 1.5) is
+// relabelled evenly: amortised O(log n) per insert, Θ(1) words per interval
+// whatever the history. A relabel rewrites tags but never reorders nodes,
+// so every order-derived fact (shadow maxima, owner caches) stays valid.
 //
-// Concurrency contract (what makes queries wait-free): a label is written
-// once, before the interval is published to any other thread, and read-only
-// forever after. ordered_before() therefore touches only immutable memory —
-// no locks, no CAS, no retries — and may be issued from any number of
-// threads at once. The *insertion* counters (e_children/h_children) are
-// mutated only by the interval's owning task, or by its unique joiner after
-// the join synchronization, so they need no atomics either. Only arena
-// growth takes a mutex, and only at structural events.
+// Concurrency contract. Inserts must be serialised by the caller. An
+// insert that fits its gap writes only the new node and the link fields of
+// its neighbours, which no query reads; only a relabel rewrites the tags
+// of published intervals. So a reader that compares tags needs exclusion
+// from relabels alone: set_relabel_lock() names a shared_mutex that every
+// relabel holds exclusively, and readers hold it shared. Serial replay
+// (DePaDetector) sets none and takes no lock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "support/assert.hpp"
 #include "support/ids.hpp"
-#include "support/small_vector.hpp"
 
 namespace race2d {
 
-/// An immutable position in one of the two order-maintenance lists,
-/// encoded as a bit string (MSB-first within each word; unused tail bits
-/// are zero). Comparison is lexicographic with prefix-first tiebreak.
-struct OmLabel {
-  SmallVector<std::uint64_t, 2> words;
-  std::uint32_t bits = 0;
-
-  /// Lexicographic three-way comparison: negative when a precedes b in the
-  /// list, zero only for the identical label (labels are unique per list).
-  static int compare(const OmLabel& a, const OmLabel& b) {
-    const std::size_t wa = a.words.size();
-    const std::size_t wb = b.words.size();
-    const std::size_t common = wa < wb ? wa : wb;
-    for (std::size_t i = 0; i < common; ++i) {
-      if (a.words[i] != b.words[i]) return a.words[i] < b.words[i] ? -1 : 1;
-    }
-    // Equal on every common word: with zeroed tail bits the shorter label
-    // is a prefix of the longer one, and a prefix precedes its extensions.
-    if (a.bits == b.bits) return 0;
-    return a.bits < b.bits ? -1 : 1;
-  }
-
-  /// This label extended by 0^{k-1}1 (k >= 1): the k-th insertion
-  /// immediately after this anchor.
-  OmLabel extended(std::uint32_t k) const;
-
-  std::size_t heap_bytes() const {
-    return words.size() <= 2 ? 0 : words.size() * sizeof(std::uint64_t);
-  }
+/// One node of a tagged, doubly-linked order-maintenance list.
+struct OmNode {
+  std::uint64_t tag = 0;
+  OmNode* prev = nullptr;
+  OmNode* next = nullptr;
 };
 
-/// One task interval: the timestamp unit. `e`/`h` are the two list
-/// positions; the children counters record how many elements were inserted
-/// immediately after this interval in each list (see the trie embedding
-/// note above).
+/// An order-maintenance list over caller-owned nodes: insert_after and
+/// O(1) order queries (compare tags). The first node never changes — the
+/// list only grows by insertion after an existing node.
+class OmList {
+ public:
+  /// Tag step for an insertion into a wide gap (see the header note).
+  static constexpr std::uint64_t kStride = std::uint64_t{1} << 32;
+
+  /// Links `node` immediately after `anchor`, relabelling a range of the
+  /// list first when the gap after `anchor` has no free tag.
+  void insert_after(OmNode* anchor, OmNode* node);
+
+  /// Relinks `order` as the whole list, in that order, with evenly spaced
+  /// tags starting at 0 (a new list's head; snapshot restore). `order`
+  /// must be non-empty.
+  void rebuild(const std::vector<OmNode*>& order);
+
+  const OmNode* head() const { return head_; }
+  /// Number of relabel passes so far (tests watch the order invariant
+  /// across them).
+  std::uint64_t relabels() const { return relabels_; }
+
+  /// Every later relabel holds `lock` exclusively (null: no lock).
+  void set_relabel_lock(std::shared_mutex* lock) { relabel_lock_ = lock; }
+
+ private:
+  void relabel_around(OmNode* anchor);
+
+  OmNode* head_ = nullptr;
+  std::uint64_t relabels_ = 0;
+  std::shared_mutex* relabel_lock_ = nullptr;
+};
+
+/// One task interval: the timestamp unit. `e`/`h` are its nodes in the two
+/// lists; `index` is its allocation index in the clock's arena.
 struct OmInterval {
-  OmLabel e;
-  OmLabel h;
+  OmNode e;
+  OmNode h;
   TaskId task = kInvalidTask;
-  std::uint32_t e_children = 0;
-  std::uint32_t h_children = 0;
+  std::uint32_t index = 0;
 };
 
 /// The two-list clock: allocates intervals and applies the structural
-/// rules. Fork and join are O(label length); queries are wait-free.
+/// rules. Fork and join are amortised O(log n) inserts; queries are two
+/// tag compares. Inserts need external serialisation (see the header note).
 class OmClock {
  public:
   OmClock() = default;
@@ -109,86 +118,69 @@ class OmClock {
   };
   /// fork: in E insert child then continuation after the parent's current
   /// interval (child-first); in H insert continuation then child
-  /// (continuation-first). Caller must own `parent_cur` (be its task, or
-  /// hold the program-order right to advance it).
+  /// (continuation-first).
   ForkResult on_fork(OmInterval* parent_cur, TaskId child);
 
   /// join: the joiner's post-join interval goes right after its current
   /// interval in E, and right after max_H(joiner, joined's last interval)
   /// in H — after the join edge's source, which is what orders the joined
   /// task's whole subtree before the continuation in both lists.
-  /// `joined_last` must be the halted task's final interval, read after
-  /// the join synchronization.
+  /// `joined_last` must be the halted task's final interval.
   OmInterval* on_join(OmInterval* joiner_cur, OmInterval* joined_last);
 
-  /// u happens-before-or-equals v: label agreement in both dimensions.
-  /// Wait-free; touches only immutable label words.
+  /// u happens-before-or-equals v: agreement in both dimensions.
   static bool ordered_before(const OmInterval* u, const OmInterval* v) {
     if (u == v) return true;
-    return OmLabel::compare(u->e, v->e) < 0 && OmLabel::compare(u->h, v->h) < 0;
+    return u->e.tag < v->e.tag && u->h.tag < v->h.tag;
   }
 
-  /// Componentwise maxima — the shadow-cell fold. Exact because "every
-  /// prior ≺ t" distributes over the two dimensions (see depa_detector).
-  static const OmInterval* max_e(const OmInterval* a, const OmInterval* b) {
-    if (a == nullptr) return b;
-    return OmLabel::compare(a->e, b->e) < 0 ? b : a;
-  }
-  static const OmInterval* max_h(const OmInterval* a, const OmInterval* b) {
-    if (a == nullptr) return b;
-    return OmLabel::compare(a->h, b->h) < 0 ? b : a;
-  }
-
-  std::size_t interval_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return arena_.size();
-  }
-
-  /// Calls fn(index, interval_ptr) over the arena in allocation order.
-  /// Allocation order is deterministic (one interval per structural event),
-  /// so the index is a stable cross-process name for an interval — what the
-  /// session snapshot stores instead of the pointer. Quiescent only: must
-  /// not race structural events.
-  template <typename Fn>
-  void for_each_interval(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t i = 0;
-    for (const OmInterval& iv : arena_) fn(i++, &iv);
-  }
+  std::size_t interval_count() const { return arena_.size(); }
 
   /// The interval at allocation index `i` (restore-time pointer recovery).
+  /// Allocation order is deterministic (one interval per structural event),
+  /// so the index is a stable cross-process name for an interval — what the
+  /// session snapshot stores instead of the pointer.
   OmInterval* interval_at(std::size_t i) {
-    std::lock_guard<std::mutex> lock(mu_);
     R2D_ASSERT(i < arena_.size());
     return &arena_[i];
   }
 
-  /// Plain-data image of the arena in allocation order.
+  /// Plain-data image of the arena in allocation order: each interval's
+  /// rank (0-based position) in the two lists. Tags are not part of the
+  /// image; restore spaces them evenly in rank order.
   struct IntervalState {
-    OmLabel e;
-    OmLabel h;
+    std::uint32_t e_rank = 0;
+    std::uint32_t h_rank = 0;
     TaskId task = kInvalidTask;
-    std::uint32_t e_children = 0;
-    std::uint32_t h_children = 0;
   };
   struct State {
     std::vector<IntervalState> intervals;
   };
   State export_state() const;
   /// Rebuilds the arena from `s` in order. Requires an empty clock (the
-  /// restoring side constructs a fresh one).
+  /// restoring side constructs a fresh one) and rank arrays that are
+  /// permutations of [0, n).
   void import_state(const State& s);
 
-  /// Heap bytes of the clock: arena nodes plus spilled label words. The
-  /// per-task cost is Θ(depth) label bits — the DePa trade against the
-  /// DSU's Θ(1) mutable state.
-  std::size_t heap_bytes() const;
+  /// Heap bytes of the clock: arena nodes only — Θ(1) per interval. O(1).
+  std::size_t heap_bytes() const { return arena_.size() * sizeof(OmInterval); }
+
+  /// Relabel passes over both lists (tests and benches).
+  std::uint64_t relabels() const { return e_.relabels() + h_.relabels(); }
+
+  /// Relabels of either list hold `lock` exclusively; concurrent readers
+  /// hold it shared while they compare tags.
+  void set_relabel_lock(std::shared_mutex* lock) {
+    e_.set_relabel_lock(lock);
+    h_.set_relabel_lock(lock);
+  }
 
  private:
   OmInterval* alloc(TaskId task);
 
-  mutable std::mutex mu_;  ///< guards arena_ growth only (structural events)
-  std::deque<OmInterval> arena_;  ///< stable addresses; labels immutable
+  std::deque<OmInterval> arena_;  ///< stable addresses
+  OmList e_;
+  OmList h_;
 };
 
 }  // namespace race2d

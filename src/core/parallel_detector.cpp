@@ -56,6 +56,7 @@ ParallelOnlineDetector::ParallelOnlineDetector(
     for (std::size_t i = 0; i < n; ++i) stripes_[i].cells.reserve(2 * per);
   }
   if (options_.flush_threshold == 0) options_.flush_threshold = 1;
+  clock_.set_relabel_lock(&clock_mu_);
 }
 
 ParallelOnlineDetector::~ParallelOnlineDetector() {
@@ -87,6 +88,7 @@ std::size_t ParallelOnlineDetector::stripe_of(Loc loc) const {
 
 void ParallelOnlineDetector::on_root(TaskId root) {
   TaskState& s = create_state(root);
+  std::lock_guard<std::mutex> lock(insert_mu_);
   s.cur = clock_.make_root(root);
 }
 
@@ -94,6 +96,7 @@ void ParallelOnlineDetector::on_fork(TaskId parent, TaskId child) {
   TaskState& p = state_for(parent);
   flush(parent, p);  // pre-fork accesses belong to the pre-fork interval
   TaskState& c = create_state(child);
+  std::lock_guard<std::mutex> lock(insert_mu_);
   OmClock::ForkResult r = clock_.on_fork(p.cur, child);
   c.cur = r.child;
   p.cur = r.continuation;
@@ -104,6 +107,7 @@ void ParallelOnlineDetector::on_join(TaskId joiner, TaskId joined) {
   flush(joiner, j);  // pre-join accesses belong to the pre-join interval
   // state_for(joined).cur is the halted task's final interval, published by
   // its done release store and visible after the joiner's acquire.
+  std::lock_guard<std::mutex> lock(insert_mu_);
   j.cur = clock_.on_join(j.cur, state_for(joined).cur);
 }
 
@@ -135,6 +139,9 @@ void ParallelOnlineDetector::flush(TaskId t, TaskState& s) {
   const OmInterval* v = s.cur;
   const std::size_t n = s.buf.size();
   std::size_t i = 0;
+  // Tags must hold still while cells compare them: one shared hold of the
+  // clock lock, which relabels take exclusively, covers the whole flush.
+  std::shared_lock<std::shared_mutex> clock_lock(clock_mu_);
   while (i < n) {
     // Batch consecutive same-stripe accesses under one lock acquisition.
     const std::size_t si = stripe_of(s.buf[i].loc);

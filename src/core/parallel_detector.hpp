@@ -2,11 +2,11 @@
 // execution, scaling with cores instead of replaying a serialized trace.
 //
 // Serial detection is pinned to one core because the DSU backend's suprema
-// are shared mutable state — every query may path-compress. The label
-// backend (core/om_timestamps.hpp) removes that obstacle: precedence queries
-// touch only immutable label words, so workers can resolve races
-// concurrently. ParallelOnlineDetector is a ParallelExecutionMonitor that
-// does exactly that:
+// are shared mutable state — every query may path-compress. The list
+// backend (core/om_timestamps.hpp) answers a precedence query with two tag
+// compares that mutate nothing, so workers can resolve races concurrently
+// as long as no insert relabels tags under them. ParallelOnlineDetector is
+// a ParallelExecutionMonitor that does exactly that:
 //
 //   record   each task appends its accesses to a thread-confined per-task
 //            buffer (no synchronization at all on the access fast path);
@@ -17,6 +17,15 @@
 //   resolve  applying an access runs the same depa_read/write/retire
 //            routines as serial replay, against the accessing task's
 //            interval timestamp.
+//
+// Clock locks. Forks and joins insert into the shared OmClock lists, so
+// they serialise on insert_mu_. An insert that relabels rewrites published
+// tags, so the relabel also holds the clock-wide std::shared_mutex
+// clock_mu_ exclusively; a flush holds clock_mu_ in shared mode across all
+// its striped batches while they compare tags. Flushes of different tasks
+// run concurrently with each other and with relabel-free inserts. No
+// thread waits for clock_mu_ while holding a stripe lock, so the lock
+// levels cannot deadlock.
 //
 // Soundness (no false positives). Flushing at every structural event keeps
 // cell updates dag-consistent: if access a happens-before access b, then a
@@ -49,6 +58,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "core/depa_detector.hpp"
@@ -133,6 +143,9 @@ class ParallelOnlineDetector final : public ParallelExecutionMonitor {
 
   ParallelOnlineDetectorOptions options_;
   OmClock clock_;
+  std::mutex insert_mu_;  ///< serialises clock inserts (fork/join/root)
+  /// Exclusive: relabels (taken inside clock inserts). Shared: flushes.
+  std::shared_mutex clock_mu_;
   Chunk* chunks_[kMaxChunks] = {};
   std::mutex tasks_mu_;  ///< guards chunk allocation + task_count_
   std::size_t task_count_ = 0;

@@ -216,7 +216,7 @@ DifferentialResult run_differential(const Trace& trace,
     }
   }
 
-  // 1b. DePa label backend: same event stream, timestamps instead of DSU
+  // 1b. DePa list backend: same event stream, timestamps instead of DSU
   //     suprema — must reproduce the serial report stream exactly.
   if (config.depa_backend) {
     const std::vector<RaceReport> depa =

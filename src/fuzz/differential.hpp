@@ -5,7 +5,7 @@
 // paper's guarantees, not wishful exactness):
 //   * detect_races_parallel / ShardedTraceAnalyzer (every shard count) must
 //     be BIT-IDENTICAL to serial replay — PR 1's determinism claim.
-//   * detect_races_trace_depa (the order-maintenance label backend) must be
+//   * detect_races_trace_depa (the order-maintenance list backend) must be
 //     BIT-IDENTICAL to serial replay: the maxima-pair shadow cells are
 //     verdict-equivalent to the DSU suprema by construction, and the panel
 //     holds the implementation to it report-for-report.

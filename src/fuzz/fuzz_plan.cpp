@@ -16,6 +16,7 @@ const char* to_string(TraceShape shape) {
     case TraceShape::kFutureChain:   return "future-chain";
     case TraceShape::kRetireHeavy:   return "retire-heavy";
     case TraceShape::kNearMissRaces: return "near-miss-races";
+    case TraceShape::kSerialForkLoop: return "serial-fork-loop";
   }
   return "?";
 }
@@ -55,6 +56,12 @@ FuzzPlan FuzzPlan::from_seed(std::uint64_t seed) {
       break;
     case TraceShape::kNearMissRaces:
       plan.loc_pool = 2 + rng.below(4);  // conflicts everywhere, races rare
+      break;
+    case TraceShape::kSerialForkLoop:
+      // Length is the point: many short-lived children, one at a time.
+      plan.max_tasks = 64 + rng.below(449);  // 64..512
+      plan.max_actions = 1 + rng.below(3);
+      plan.loc_pool = 2 + rng.below(7);
       break;
     default:
       break;

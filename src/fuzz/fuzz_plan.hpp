@@ -2,7 +2,8 @@
 //
 // A FuzzPlan fixes the SHAPE of the structured program to synthesize (deep
 // fork chains, wide finish regions, pipeline grids, future hand-offs,
-// retire-heavy schedules, near-miss race densities, ...) plus all size and
+// retire-heavy schedules, near-miss race densities, serial fork loops, ...)
+// plus all size and
 // bias knobs. FuzzPlan::from_seed derives every field deterministically from
 // the seed, so a failure artifact is fully described by that one number:
 // the same seed always regenerates the identical trace byte-for-byte (the
@@ -30,9 +31,10 @@ enum class TraceShape : std::uint8_t {
   kFutureChain,    ///< producer tasks + consumers joining siblings (Figure 2)
   kRetireHeavy,    ///< aggressive address reuse through retire
   kNearMissRaces,  ///< mostly-ordered conflicting pairs, races rare but real
+  kSerialForkLoop, ///< `fork; access; halt; join; access` repeated serially
 };
 
-inline constexpr std::size_t kTraceShapeCount = 8;
+inline constexpr std::size_t kTraceShapeCount = 9;
 
 const char* to_string(TraceShape shape);
 

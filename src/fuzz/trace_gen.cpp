@@ -250,6 +250,27 @@ TaskBody retire_node(StatePtr st, std::size_t depth, bool is_root) {
   };
 }
 
+// -- serial fork loop --------------------------------------------------------
+// `fork; access; halt; join; access`, over and over: a long serial chain of
+// short-lived children, each joined before the next fork, so every
+// structural event appends at the tail of both DePa order lists. With
+// probability race_bias the root touches the pool BEFORE the join, while
+// the child is still concurrent with it.
+
+TaskBody fork_loop_root(StatePtr st) {
+  return [st](TaskContext& ctx) {
+    while (st->can_fork(1)) {
+      ++st->forks;
+      ctx.fork([st](TaskContext& child) {
+        st->burst(child, st->plan.max_actions);
+      });
+      if (st->rng.chance(st->plan.race_bias)) st->access(ctx);
+      ctx.join_left();
+      st->burst(ctx, st->plan.max_actions);
+    }
+  };
+}
+
 ProgramParams to_program_params(const FuzzPlan& plan) {
   ProgramParams p;
   p.seed = plan.seed;
@@ -282,6 +303,8 @@ TaskBody build_program(const FuzzPlan& plan) {
       return future_root(std::make_shared<GenState>(plan));
     case TraceShape::kRetireHeavy:
       return retire_node(std::make_shared<GenState>(plan), 0, true);
+    case TraceShape::kSerialForkLoop:
+      return fork_loop_root(std::make_shared<GenState>(plan));
   }
   return random_program(to_program_params(plan));
 }

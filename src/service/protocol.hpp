@@ -83,7 +83,7 @@ const char* service_status_id(ServiceStatus status);
 /// Which precedence backend a session's detector runs on.
 enum class DetectorEngine : std::uint8_t {
   kDsu = 0,   ///< labeled DSU suprema (Figure 6; the default)
-  kDepa = 1,  ///< order-maintenance labels (core/depa_detector.hpp)
+  kDepa = 1,  ///< order-maintenance lists (core/depa_detector.hpp)
 };
 
 struct OpenRequest {

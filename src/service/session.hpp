@@ -34,7 +34,7 @@ namespace race2d {
 class DetectionSession {
  public:
   /// `engine` picks the precedence backend: the labeled DSU (default) or
-  /// the DePa order-maintenance labels. Both consume the identical event
+  /// the DePa order-maintenance lists. Both consume the identical event
   /// stream and produce the identical report stream (the differential panel
   /// enforces this), so the choice is a pure performance/footprint knob.
   DetectionSession(ReportPolicy policy, std::size_t max_pending_reports,

@@ -11,10 +11,11 @@ namespace race2d {
 
 namespace {
 
-// Version byte bumped to 2 when the decoder section grew its wire-format
-// version and compressed-chunk flag; version-1 blobs are refused with K002
-// (the service never persisted them across releases).
-constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x02'};
+// Version byte history: 2 added the decoder's wire-format version and
+// compressed-chunk flag; 3 replaced the DePa section's bit-path labels with
+// per-interval list ranks. Older blobs are refused with K002 (the service
+// never persisted them across releases).
+constexpr char kMagic[8] = {'R', '2', 'D', 'S', 'N', 'A', 'P', '\x03'};
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
 
 /// Restore-side rejection: the K-coded message restore_session returns.
@@ -332,32 +333,12 @@ OnlineRaceDetector::State get_dsu(Reader& r) {
 
 // ---------------------------------------------------- DePa engine section --
 
-void put_label(Writer& w, const OmLabel& label) {
-  w.u32(label.bits);
-  w.u32(static_cast<std::uint32_t>(label.words.size()));
-  for (std::uint64_t word : label.words) w.u64(word);
-}
-
-OmLabel get_label(Reader& r) {
-  OmLabel label;
-  label.bits = r.u32();
-  const std::uint32_t nwords = r.u32();
-  if (nwords != (label.bits + 63) / 64)
-    reject("K006", "label word count disagrees with its bit length");
-  r.need(static_cast<std::size_t>(nwords) * 8);
-  label.words.reserve(nwords);
-  for (std::uint32_t i = 0; i < nwords; ++i) label.words.push_back(r.u64());
-  return label;
-}
-
 void put_depa(Writer& w, const DePaDetector::State& s) {
   w.u64(s.clock.intervals.size());
   for (const OmClock::IntervalState& iv : s.clock.intervals) {
-    put_label(w, iv.e);
-    put_label(w, iv.h);
+    w.u32(iv.e_rank);
+    w.u32(iv.h_rank);
     w.u32(iv.task);
-    w.u32(iv.e_children);
-    w.u32(iv.h_children);
   }
   w.u64(s.cur.size());
   for (std::uint64_t idx : s.cur) w.u64(idx);
@@ -378,16 +359,22 @@ void put_depa(Writer& w, const DePaDetector::State& s) {
 
 DePaDetector::State get_depa(Reader& r) {
   DePaDetector::State s;
-  const std::size_t intervals = r.count(28);  // 2 labels (8B min) + 12B
+  const std::size_t intervals = r.count(12);  // e_rank, h_rank, task
   s.clock.intervals.reserve(intervals);
+  // Each list's ranks must be a permutation of [0, intervals): restore
+  // relinks the lists in rank order.
+  std::vector<bool> e_seen(intervals, false);
+  std::vector<bool> h_seen(intervals, false);
   for (std::size_t i = 0; i < intervals; ++i) {
     OmClock::IntervalState iv;
-    iv.e = get_label(r);
-    iv.h = get_label(r);
+    iv.e_rank = r.u32();
+    iv.h_rank = r.u32();
     iv.task = r.u32();
-    iv.e_children = r.u32();
-    iv.h_children = r.u32();
-    s.clock.intervals.push_back(std::move(iv));
+    if (iv.e_rank >= intervals || e_seen[iv.e_rank] ||
+        iv.h_rank >= intervals || h_seen[iv.h_rank])
+      reject("K006", "interval list ranks are not a permutation");
+    e_seen[iv.e_rank] = h_seen[iv.h_rank] = true;
+    s.clock.intervals.push_back(iv);
   }
   const auto valid_index = [intervals](std::uint64_t idx) {
     return idx == DePaDetector::kNullInterval || idx < intervals;

@@ -2,14 +2,15 @@
 //
 // A snapshot captures the WHOLE ingest pipeline mid-stream — decoder state
 // machine (including the partial frame's bytes), lint gate state, detector
-// internals (labeled-DSU engine + shadow cells, or the DePa clock arena +
-// label shadow cells with pointers rewritten to arena allocation indices),
+// internals (labeled-DSU engine + shadow cells, or the DePa clock arena as
+// per-interval E/H list ranks + shadow cells with pointers rewritten to
+// arena allocation indices),
 // the undrained report backlog and the reporter's totals — so that a
 // restored session continues bit-identically: feeding the remainder of the
 // original stream yields exactly the reports the unsnapshotted session
 // would have produced. The blob is self-framed and self-checking:
 //
-//   blob    := magic[8] ("R2DSNAP\x01")  payload_len:u32le
+//   blob    := magic[8] ("R2DSNAP\x03")  payload_len:u32le
 //              payload_crc:u32le (CRC32C)  payload[payload_len]
 //   payload := fed_bytes:u64le  policy:u8  engine:u8  quota_bytes:u64le
 //              <session state, see snapshot.cpp>
@@ -29,7 +30,8 @@
 //   K003  payload length disagrees with the blob size
 //   K004  payload CRC32C mismatch
 //   K005  payload structure truncated or carries trailing bytes
-//   K006  a field holds an out-of-range value
+//   K006  a field holds an out-of-range value (incl. DePa list ranks that
+//         are not a permutation)
 //   K007  cross-field validation failed (an index names a missing object)
 //   K008  session not snapshotable (poisoned, or the blob would exceed the
 //         protocol frame cap)

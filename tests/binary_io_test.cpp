@@ -112,7 +112,7 @@ TEST(BinaryRoundTrip, EmptyAllOpcodesAndGenerated) {
 }
 
 TEST(BinaryRoundTrip, ChunkBoundariesResetDeltaState) {
-  const Trace trace = generated_trace(7);
+  const Trace trace = generated_trace(9);
   ASSERT_GT(trace.size(), 16u);
   // Tiny chunks force many frames; the per-chunk delta reset must not leak
   // state across boundaries in either direction.

@@ -475,6 +475,31 @@ TEST(SpillTier, LruEvictionUnderBudget) {
   EXPECT_FALSE(tiny.store(9, huge).stored);
 }
 
+TEST(SpillTier, FailedWriteKeepsTheLruVictimsLoadable) {
+  TempDir dir;
+  std::mt19937_64 rng(5);
+  std::string incompressible;
+  for (int i = 0; i < 4000; ++i)
+    incompressible.push_back(static_cast<char>(rng() & 0xFF));
+  SpillTier tier(dir.path.string(), 3 * (incompressible.size() + 256));
+  for (std::uint32_t id = 1; id <= 3; ++id)
+    ASSERT_TRUE(tier.store(id, incompressible + std::to_string(id)).stored);
+  // A directory squatting on the temp path makes the write fail. The tier
+  // is full, so a successful store would have dropped session 1.
+  std::filesystem::create_directories(dir.path / "sess-4.spill.tmp");
+  const SpillTier::StoreResult failed = tier.store(4, incompressible);
+  EXPECT_FALSE(failed.stored);
+  EXPECT_TRUE(failed.dropped.empty());
+  EXPECT_FALSE(tier.contains(4));
+  EXPECT_EQ(tier.sessions(), 3u);
+  for (std::uint32_t id = 1; id <= 3; ++id) {
+    std::string error;
+    const std::optional<std::string> back = tier.load(id, &error);
+    ASSERT_TRUE(back.has_value()) << "session " << id << ": " << error;
+    EXPECT_EQ(*back, incompressible + std::to_string(id));
+  }
+}
+
 TEST(SpillTier, K009StructuralDamage) {
   TempDir dir;
   SpillTier tier(dir.path.string(), 1u << 20);

@@ -1,6 +1,9 @@
-// The order-maintenance label backend, held to its two contracts:
+// The order-maintenance list backend, held to its contracts:
 //
-//   1. The labels realize happens-before: for every pair of access events
+//   0. OmList keeps tag order equal to list order across relabels, and
+//      DePaDetector costs Θ(1) bytes per task on the serial fork loop.
+//
+//   1. The lists realize happens-before: for every pair of access events
 //      in a trace, OmClock::ordered_before agrees with the reachability
 //      oracle over the Theorem-6 task graph. This is the 2D claim itself —
 //      E-order AND H-order agreement IS precedence — checked exhaustively
@@ -12,8 +15,10 @@
 //      programs, fuzz traces, and the whole checked-in regression corpus.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <list>
 #include <vector>
 
 #include "baselines/oracle.hpp"
@@ -25,6 +30,7 @@
 #include "runtime/serial_executor.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/trace_io.hpp"
+#include "support/rng.hpp"
 #include "workloads/generators.hpp"
 
 namespace race2d {
@@ -41,32 +47,68 @@ Trace record(TaskBody program) {
   return rec.take();
 }
 
-TEST(OmLabel, ExtendedSortsAfterAnchorAndBeforeEarlierSiblings) {
-  OmLabel root;  // empty label: first in the list
-  const OmLabel first = root.extended(1);
-  const OmLabel second = root.extended(2);
-  const OmLabel third = root.extended(3);
-  // Anchor before every extension.
-  EXPECT_LT(OmLabel::compare(root, first), 0);
-  EXPECT_LT(OmLabel::compare(root, third), 0);
-  // The k-th insertion after the anchor lands BEFORE the earlier ones
-  // (insert-after semantics): third < second < first.
-  EXPECT_LT(OmLabel::compare(third, second), 0);
-  EXPECT_LT(OmLabel::compare(second, first), 0);
-  // And extensions of an element sort between it and its earlier siblings.
-  const OmLabel deep = second.extended(1);
-  EXPECT_LT(OmLabel::compare(second, deep), 0);
-  EXPECT_LT(OmLabel::compare(deep, first), 0);
-  EXPECT_EQ(OmLabel::compare(deep, deep), 0);
+// Tags strictly increase along the list's links.
+bool tags_increase(const OmList& list) {
+  for (const OmNode* n = list.head(); n->next != nullptr; n = n->next)
+    if (n->tag >= n->next->tag) return false;
+  return true;
 }
 
-TEST(OmLabel, LongChainsSpillPastTheInlineWords) {
-  OmLabel l;
-  for (int i = 0; i < 300; ++i) l = l.extended(2);  // 2 bits per step
-  EXPECT_EQ(l.bits, 600u);
-  EXPECT_GT(l.words.size(), 2u);
-  const OmLabel next = l.extended(1);
-  EXPECT_LT(OmLabel::compare(l, next), 0);
+// The list's links visit exactly the reference order.
+void expect_links_match(const OmList& list,
+                        const std::list<const OmNode*>& ref) {
+  const OmNode* n = list.head();
+  for (const OmNode* want : ref) {
+    ASSERT_EQ(n, want);
+    n = n->next;
+  }
+  ASSERT_EQ(n, nullptr);
+}
+
+TEST(OmList, TagOrderMatchesAReferenceListAcrossRelabels) {
+  std::deque<OmNode> arena;
+  std::list<const OmNode*> ref;
+  std::vector<std::list<const OmNode*>::iterator> pos;  // arena index -> ref
+  OmList list;
+  arena.emplace_back();
+  list.rebuild({&arena.back()});
+  pos.push_back(ref.insert(ref.end(), &arena.back()));
+  std::uint64_t checked_relabels = 0;
+  std::size_t tail = 0;
+  const auto insert_after = [&](std::size_t anchor) {
+    arena.emplace_back();
+    OmNode* node = &arena.back();
+    list.insert_after(&arena[anchor], node);
+    pos.push_back(ref.insert(std::next(pos[anchor]), node));
+    if (anchor == tail) tail = arena.size() - 1;
+    if (list.relabels() != checked_relabels) {
+      checked_relabels = list.relabels();
+      ASSERT_TRUE(tags_increase(list)) << "after relabel " << checked_relabels;
+    }
+  };
+
+  // One anchor, over and over: every insert halves the same gap, so this
+  // phase cannot finish without relabels. (It runs first, while the list
+  // is small, so checking the whole list after each relabel stays cheap.)
+  for (int i = 0; i < 10000; ++i) {
+    insert_after(0);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(list.relabels(), 100u) << "the hot anchor barely relabelled";
+  expect_links_match(list, ref);
+  // Random anchors, including the dense region the hot phase left behind.
+  Xoshiro256 rng(2002);
+  for (int i = 0; i < 100000; ++i) {
+    insert_after(rng.below(arena.size()));
+    if (HasFatalFailure()) return;
+  }
+  expect_links_match(list, ref);
+  // Serial-chain appends take the fixed tail stride: no relabel at all.
+  const std::uint64_t before_tail = list.relabels();
+  for (int i = 0; i < 1000000; ++i) insert_after(tail);
+  EXPECT_EQ(list.relabels(), before_tail);
+  expect_links_match(list, ref);
+  EXPECT_TRUE(tags_increase(list));
 }
 
 TEST(DePaDetector, ForkMakesConcurrencyJoinOrdersIt) {
@@ -224,6 +266,32 @@ TEST(DePaDetector, FootprintAccountsClockAndCells) {
   EXPECT_GT(f.per_task_bytes, 0u);
   EXPECT_GT(f.shadow_bytes, 0u);
   EXPECT_EQ(det.tracked_locations(), 40u);
+}
+
+// Per-task bytes after n iterations of `fork; write; halt; join; write`: a
+// serial chain that appends at the tail of both lists on every event.
+double fork_loop_bytes_per_task(std::size_t n) {
+  DePaDetector det;
+  const TaskId root = det.on_root();
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskId child = det.on_fork(root);
+    det.on_write(child, 0);
+    det.on_halt(child);
+    det.on_join(root, child);
+    det.on_write(root, 0);
+  }
+  EXPECT_FALSE(det.race_found());
+  return static_cast<double>(det.footprint().per_task_bytes) /
+         static_cast<double>(det.task_count());
+}
+
+TEST(DePaDetector, SerialForkLoopCostsConstantBytesPerTask) {
+  const double small = fork_loop_bytes_per_task(1024);
+  const double large = fork_loop_bytes_per_task(65536);
+  EXPECT_LT(small, 256.0);
+  EXPECT_LT(large, 256.0);
+  EXPECT_LE(large, small * 1.1);
+  EXPECT_GE(large, small * 0.9);
 }
 
 }  // namespace

@@ -48,6 +48,31 @@ TEST(FuzzGenTest, SameSeedRegeneratesIdenticalTraceByteForByte) {
   EXPECT_EQ(shapes_seen.size(), kTraceShapeCount);
 }
 
+TEST(FuzzGenTest, SerialForkLoopJoinsEachChildBeforeTheNextFork) {
+  std::size_t loops = 0;
+  for (std::uint64_t seed = 1; loops < 4 && seed <= 400; ++seed) {
+    const FuzzPlan plan = FuzzPlan::from_seed(seed);
+    if (plan.shape != TraceShape::kSerialForkLoop) continue;
+    ++loops;
+    const Trace trace = generate_trace(plan).trace;
+    std::size_t forks = 0;
+    std::size_t open = 0;
+    for (const TraceEvent& e : trace) {
+      if (e.op == TraceOp::kFork) {
+        EXPECT_EQ(open, 0u) << "seed " << seed << ": fork with a child open";
+        ++forks;
+        ++open;
+      } else if (e.op == TraceOp::kJoin) {
+        EXPECT_EQ(e.actor, 0u) << "seed " << seed;
+        --open;
+      }
+    }
+    EXPECT_EQ(forks + 1, plan.max_tasks) << "seed " << seed;
+    EXPECT_TRUE(lint_trace(trace).ok()) << "seed " << seed;
+  }
+  EXPECT_EQ(loops, 4u) << "too few serial-fork-loop plans in 400 seeds";
+}
+
 TEST(FuzzGenTest, GeneratedTracesLintClean) {
   for (std::uint64_t seed = 100; seed < 140; ++seed) {
     const FuzzPlan plan = FuzzPlan::from_seed(seed);

@@ -1,5 +1,5 @@
 // Parallel ONLINE detection: races found while the program runs on a real
-// thread pool, with the label backend answering precedence queries.
+// thread pool, with the list backend answering precedence queries.
 //
 // Contracts under test:
 //   * Agreement with serial detection: the racing-location SET the parallel
@@ -8,14 +8,16 @@
 //     by design — see parallel_detector.hpp — the location set is not.)
 //   * Determinism: 20 repeated parallel runs yield the identical set.
 //   * The whole thing is exercised with many workers hammering overlapping
-//     locations; scripts/check.sh runs this binary under TSan, where any
-//     unsynchronized label/cell/buffer access would light up.
+//     locations, and with relabels of the clock's lists racing flushes;
+//     scripts/check.sh runs this binary under TSan, where any
+//     unsynchronized tag/cell/buffer access would light up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <vector>
 
+#include "core/om_timestamps.hpp"
 #include "core/parallel_detector.hpp"
 #include "runtime/instrumented.hpp"
 #include "runtime/parallel_executor.hpp"
@@ -71,7 +73,7 @@ TaskBody clean_fanout(std::size_t width, std::size_t reps) {
   };
 }
 
-/// Two-level tree: children fork grandchildren (deeper labels, nested
+/// Two-level tree: children fork grandchildren (deeper nesting, nested
 /// help-on-join), with one racing location per child subtree.
 TaskBody nested_tree(std::size_t width, std::size_t grand) {
   return [=](TaskContext& ctx) {
@@ -167,6 +169,38 @@ TEST(ParallelOnline, StressManyWorkersOverlappingLocations) {
   EXPECT_FALSE(par.race_free());
   EXPECT_EQ(par.racing_locations.size(), 8u);
   EXPECT_EQ(par.access_count, 16u * 800u * 3u);
+}
+
+TEST(ParallelOnline, RelabelsRacingFlushesKeepTheVerdicts) {
+  // Each fork inserts into the gap after the root's continuation in H, so
+  // hundreds of sibling forks from one task exhaust it again and again.
+  constexpr std::size_t kWidth = 400;
+  {
+    OmClock clock;
+    OmInterval* root = clock.make_root(0);
+    for (TaskId c = 1; c <= kWidth; ++c)
+      root = clock.on_fork(root, c).continuation;
+    ASSERT_GT(clock.relabels(), 0u) << "the workload no longer relabels";
+  }
+  // Children start flushing while the root is still forking (and so
+  // relabelling) their siblings.
+  ParallelOnlineDetectorOptions options;
+  options.flush_threshold = 2;
+  const DetectionResult racy = run_with_detection(racy_fanout(kWidth, 4, 6));
+  const DetectionResult clean = run_with_detection(clean_fanout(kWidth, 4));
+  ASSERT_TRUE(clean.race_free());
+  for (int rep = 0; rep < 3; ++rep) {
+    const ParallelDetectionResult par =
+        run_with_parallel_detection(racy_fanout(kWidth, 4, 6), 4, options);
+    EXPECT_EQ(std::set<Loc>(par.racing_locations.begin(),
+                            par.racing_locations.end()),
+              loc_set(racy.races))
+        << "rep " << rep;
+    const ParallelDetectionResult ok =
+        run_with_parallel_detection(clean_fanout(kWidth, 4), 4, options);
+    EXPECT_TRUE(ok.race_free()) << "rep " << rep << ": " << ok.reports.size()
+                                << " false report(s)";
+  }
 }
 
 TEST(ParallelOnline, DegenerateOptionsStillCorrect) {

@@ -90,6 +90,14 @@ bool has_k_code(const std::string& error) {
          error[4] == ':';
 }
 
+/// Overwrites the payload's CRC so a deliberately edited blob passes the
+/// frame checks and reaches the payload decoder.
+void reseal(std::string& blob) {
+  const std::uint32_t crc = crc32c(blob.data() + 16, blob.size() - 16);
+  for (int i = 0; i < 4; ++i)
+    blob[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
+}
+
 // The central property: snapshot at EVERY feed-chunk boundary, restore into
 // a fresh service, feed the remainder — the combined report stream is
 // bit-identical to an uninterrupted run, for both engines.
@@ -285,23 +293,27 @@ TEST(Snapshot, MigratesAcrossWorkersThroughThePool) {
 }
 
 TEST(Snapshot, EveryTruncationPrefixIsRejected) {
-  DetectionService service;
-  const std::uint32_t id = open_session(service, DetectorEngine::kDsu);
-  const std::string wire = trace_to_binary(generated(9));
-  ASSERT_EQ(feed_bytes(service, id, wire.substr(0, wire.size() / 2)).status,
-            ServiceStatus::kOk);
-  const std::string blob = snapshot_via_service(service, id);
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    const RestoreOutcome out = restore_session(blob.substr(0, len));
-    ASSERT_EQ(out.session, nullptr) << "prefix " << len;
-    ASSERT_TRUE(has_k_code(out.error)) << "prefix " << len << ": " << out.error;
-    // A truncated blob dies in the frame checks, before any payload parse.
-    const std::string code = out.error.substr(0, 4);
-    EXPECT_TRUE(code == "K001" || code == "K003") << "prefix " << len << ": "
-                                                  << out.error;
+  for (const DetectorEngine engine :
+       {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
+    DetectionService service;
+    const std::uint32_t id = open_session(service, engine);
+    const std::string wire = trace_to_binary(generated(9));
+    ASSERT_EQ(feed_bytes(service, id, wire.substr(0, wire.size() / 2)).status,
+              ServiceStatus::kOk);
+    const std::string blob = snapshot_via_service(service, id);
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+      const RestoreOutcome out = restore_session(blob.substr(0, len));
+      ASSERT_EQ(out.session, nullptr) << "prefix " << len;
+      ASSERT_TRUE(has_k_code(out.error))
+          << "prefix " << len << ": " << out.error;
+      // A truncated blob dies in the frame checks, before any payload parse.
+      const std::string code = out.error.substr(0, 4);
+      EXPECT_TRUE(code == "K001" || code == "K003")
+          << "prefix " << len << ": " << out.error;
+    }
+    // The untruncated blob still restores — the loop did not mutate it.
+    EXPECT_NE(restore_session(blob).session, nullptr);
   }
-  // The untruncated blob still restores — the loop did not mutate it.
-  EXPECT_NE(restore_session(blob).session, nullptr);
 }
 
 TEST(Snapshot, EverySingleBitFlipIsRejected) {
@@ -312,6 +324,10 @@ TEST(Snapshot, EverySingleBitFlipIsRejected) {
   ASSERT_EQ(feed_bytes(service, id, wire.substr(0, wire.size() - 3)).status,
             ServiceStatus::kOk);
   const std::string blob = snapshot_via_service(service, id);
+  // The fork made three intervals, so the sweep crosses a real rank section.
+  const RestoreOutcome whole = restore_session(blob);
+  ASSERT_NE(whole.session, nullptr) << whole.error;
+  ASSERT_GE(whole.session->export_state().depa.clock.intervals.size(), 3u);
   for (std::size_t byte = 0; byte < blob.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string mutated = blob;
@@ -335,12 +351,67 @@ TEST(Snapshot, StructurallyInvalidPayloadsGetTheirOwnCodes) {
   // payload decoder must catch it as K006.
   ASSERT_GT(blob.size(), 26u);
   blob[25] = '\x7f';
-  const std::uint32_t crc = crc32c(blob.data() + 16, blob.size() - 16);
-  for (int i = 0; i < 4; ++i)
-    blob[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
+  reseal(blob);
   const RestoreOutcome out = restore_session(blob);
   ASSERT_EQ(out.session, nullptr);
   EXPECT_EQ(out.error.substr(0, 4), "K006") << out.error;
+}
+
+TEST(Snapshot, DePaRanksMustBePermutations) {
+  DetectionService service;
+  const std::uint32_t id = open_session(service, DetectorEngine::kDepa);
+  ASSERT_EQ(feed_bytes(service, id, trace_to_binary(racy_trace())).status,
+            ServiceStatus::kOk);
+  const std::string blob = snapshot_via_service(service, id);
+  const RestoreOutcome whole = restore_session(blob);
+  ASSERT_NE(whole.session, nullptr) << whole.error;
+  // Locate the clock section: u64 count, then (e_rank, h_rank, task) u32s.
+  const auto& intervals = whole.session->export_state().depa.clock.intervals;
+  ASSERT_GE(intervals.size(), 2u);
+  std::string section;
+  const auto put = [&section](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      section.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  };
+  put(intervals.size(), 8);
+  for (const OmClock::IntervalState& iv : intervals) {
+    put(iv.e_rank, 4);
+    put(iv.h_rank, 4);
+    put(iv.task, 4);
+  }
+  const std::size_t at = blob.find(section);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.find(section, at + 1), std::string::npos);
+  const std::size_t second_e_rank = at + 8 + 12;
+  const std::size_t first_h_rank = at + 8 + 4;
+
+  // A repeated E rank, an out-of-range H rank: both K006.
+  std::string repeated = blob;
+  repeated.replace(second_e_rank, 4, blob, at + 8, 4);
+  reseal(repeated);
+  std::string out_of_range = blob;
+  out_of_range[first_h_rank] = static_cast<char>(intervals.size());
+  reseal(out_of_range);
+  for (const std::string* bad : {&repeated, &out_of_range}) {
+    const RestoreOutcome out = restore_session(*bad);
+    ASSERT_EQ(out.session, nullptr);
+    EXPECT_EQ(out.error.substr(0, 4), "K006") << out.error;
+  }
+}
+
+TEST(Snapshot, OlderVersionBlobsAreRefused) {
+  DetectionService service;
+  const std::uint32_t id = open_session(service, DetectorEngine::kDepa);
+  ASSERT_EQ(feed_bytes(service, id, trace_to_binary(racy_trace())).status,
+            ServiceStatus::kOk);
+  std::string blob = snapshot_via_service(service, id);
+  ASSERT_EQ(blob[7], '\x03');
+  for (const char version : {'\x01', '\x02'}) {
+    blob[7] = version;
+    const RestoreOutcome out = restore_session(blob);
+    ASSERT_EQ(out.session, nullptr);
+    EXPECT_EQ(out.error.substr(0, 4), "K002") << out.error;
+  }
 }
 
 TEST(Snapshot, PoisonedSessionsRefuseToSnapshot) {
