@@ -9,7 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/access_history.hpp"
+#include "core/shadow_ops.hpp"
 #include "support/rng.hpp"
 #include "unionfind/labeled_union_find.hpp"
 
@@ -101,13 +101,13 @@ void BM_Ablation_ShadowFlatMap(benchmark::State& state) {
   std::vector<Loc> sequence(1 << 14);
   for (auto& l : sequence) l = rng.below(locs) * 64;
   for (auto _ : state) {
-    AccessHistory history;
+    ShadowMap<SupremaOrder> history;
     VertexId fake = 0;
     for (Loc l : sequence) {
-      ShadowCell& cell = history.cell(l);
-      cell.read_sup = fake++;
+      ShadowCell& cell = history[l];
+      cell.read = fake++;
     }
-    benchmark::DoNotOptimize(history.location_count());
+    benchmark::DoNotOptimize(history.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(sequence.size()));
@@ -123,7 +123,7 @@ void BM_Ablation_ShadowStdUnorderedMap(benchmark::State& state) {
     VertexId fake = 0;
     for (Loc l : sequence) {
       ShadowCell& cell = history[l];
-      cell.read_sup = fake++;
+      cell.read = fake++;
     }
     benchmark::DoNotOptimize(history.size());
   }

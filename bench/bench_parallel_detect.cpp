@@ -110,7 +110,7 @@ BENCHMARK(BM_DsuSerialReplay)->Unit(benchmark::kMillisecond);
 void BM_DepaSerialReplay(benchmark::State& state) {
   const Trace trace = recorded_workload();
   for (auto _ : state) {
-    std::vector<RaceReport> reports = detect_races_trace_depa(trace);
+    std::vector<RaceReport> reports = detect_races_trace<DePaDetector>(trace);
     benchmark::DoNotOptimize(reports.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

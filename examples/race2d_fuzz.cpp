@@ -14,9 +14,12 @@
 // it is shrunk with ddmin (--no-shrink disables) and, when --artifacts DIR
 // is given, written there as a replayable corpus file.
 //
-// --inject-bug plants a known detector bug (shadow_write skips one sup()
-// update) to prove the harness catches and shrinks real defects; the
-// process then EXPECTS failures and exits 0 only if some were found.
+// --inject-bug plants a known detector bug (shadow_write skips the W[loc]
+// fold) to prove the harness catches and shrinks real defects. Every
+// Figure-6 detector shares that routine, so the DSU and DePa engines (and
+// sharded replay) go wrong identically and only the independent oracles
+// can catch it. The process then EXPECTS failures and exits 0 only if some
+// were found.
 // Exit status: 0 = clean campaign (or caught the injected bug), 1 = found
 // mismatches (or an injected bug escaped), 2 = bad usage.
 #include <cstdint>
@@ -127,10 +130,12 @@ int main(int argc, char** argv) {
 
   if (inject_bug) {
     race2d::detail::g_inject_skip_write_sup_update = true;
-    // The bags baselines replay the same structure the (sabotaged) engine
-    // does not mis-handle; the core oracles are the ones that disagree.
+    // Serial, DePa and sharded replay share the sabotaged cell routine and
+    // agree with each other; the naive gold reference, the vector clocks
+    // and the vertex-level offline walks (where the skipped fold lands on
+    // different summaries) disagree with them.
     std::cerr << "race2d_fuzz: injected bug: shadow_write skips the "
-                 "W[loc] sup() update\n";
+                 "W[loc] fold on both engines\n";
   }
 
   if (exact) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Correctness gate: the tier-1 build + test cycle, a 30-second fixed-seed
+# Correctness gate: the tier-1 build + test cycle, a compile-only build of
+# the e2ebench package (race2dd + e2eload), a 30-second fixed-seed
 # differential fuzz smoke (race2d_fuzz cross-checks every detector on
 # seeded random programs; any mismatch fails the gate), an ASan+UBSan
 # build of the FULL test suite (the verify layer intentionally feeds
@@ -25,6 +26,13 @@ echo "== tier-1: configure + build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure)
+
+echo "== e2ebench: compile the end-to-end benchmark package"
+# e2ebench/ builds the library and race2dd from these sources in its own
+# Release tree; compiling it here catches a src/ API change that breaks the
+# benchmark before the benchmark pipeline runs it.
+cmake -S e2ebench -B build-e2e -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-e2e -j "$(nproc)" --target race2dd e2eload
 
 echo "== smoke fuzz: 30-second differential campaign (fixed seed)"
 # Every trace runs the full detector panel (serial, DePa label backend,

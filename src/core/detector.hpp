@@ -1,10 +1,9 @@
 // The race detectors of §4 (Figure 6) over the suprema engine.
 //
-// OnlineRaceDetector — the paper's headline algorithm. It consumes the
-// thread-level event stream of a serial fork-first execution of a structured
-// fork-join program (§5): fork/join/halt structure events plus read/write
-// memory events. Internally this is precisely the collapsed delayed
-// traversal T'' of eq. (8):
+// OnlineRaceDetector — the paper's headline algorithm: RaceDetector
+// (core/race_detector.hpp) over DsuClock. DsuClock consumes the
+// thread-level event stream as precisely the collapsed delayed traversal
+// T'' of eq. (8):
 //     x forks y  ↦ (x, y)      — ordinary arc, no engine action
 //     x steps    ↦ (x, x)      — loop; every memory access marks its task
 //     x joins y  ↦ (y, x)      — delayed last-arc ⇒ Union(x, y)
@@ -27,96 +26,59 @@
 #include <utility>
 #include <vector>
 
-#include "core/access_history.hpp"
+#include "core/race_detector.hpp"
 #include "core/report.hpp"
+#include "core/shadow_ops.hpp"
 #include "core/suprema_walk.hpp"
+#include "support/assert.hpp"
 #include "support/ids.hpp"
-#include "support/mem_accounting.hpp"
 
 namespace race2d {
 
-// runtime/trace.hpp includes this header (for the replay drivers below), so
-// the run fast path only forward-declares the event type it points at.
-struct TraceEvent;
-
-class OnlineRaceDetector {
+/// The labeled-DSU precedence clock: task ids are the DSU's vertices, and a
+/// task's position is the task itself (its loop marks it visited).
+class DsuClock {
  public:
-  explicit OnlineRaceDetector(ReportPolicy policy = ReportPolicy::kAll)
-      : reporter_(policy) {}
+  using Order = SupremaOrder;
+  using State = SupremaEngine::State;
+  using SummaryImage = VertexId;  ///< vertex ids are already portable
 
-  /// Registers the root task (the initial line {root | program}).
-  TaskId on_root();
-
-  /// `parent` forks a child; returns the child's task id. The child is
-  /// immediately visited (serial fork-first execution enters it next).
+  TaskId on_root() {
+    const TaskId root = engine_.add_vertex();
+    engine_.on_loop(root);
+    return root;
+  }
   TaskId on_fork(TaskId parent);
-
-  /// `joiner` joins `joined` — the delayed last-arc (joined, joiner).
   void on_join(TaskId joiner, TaskId joined);
-
-  /// `t` halts — the stop-arc (t, ×).
   void on_halt(TaskId t);
 
-  /// Figure 6 On-Read / On-Write for the current operation of task `t`.
-  void on_read(TaskId t, Loc loc);
-  void on_write(TaskId t, Loc loc);
+  /// Walk line 2–3: the access is a loop of t.
+  VertexId on_access(TaskId t) {
+    R2D_REQUIRE(t < engine_.vertex_count(), "unknown task");
+    engine_.on_loop(t);
+    return t;
+  }
+  VertexId position(TaskId t) const { return t; }
+  SupremaOrder order() { return SupremaOrder(engine_); }
 
-  /// Retires `loc`'s shadow state (scope exit / free). Serial execution
-  /// recycles addresses of dead storage across logically concurrent tasks;
-  /// retiring at end-of-lifetime prevents spurious reports on reuse, exactly
-  /// like the free() hooks of production detectors. The retirement itself is
-  /// checked like a write (it must be ordered after every prior access —
-  /// retiring live racing storage is itself a bug worth one report).
-  void on_retire(TaskId t, Loc loc);
-
-  /// True iff task x's lattice position is ordered before task t's current
-  /// operation (eq. 6). Exposed for tests.
   bool ordered_before(TaskId x, TaskId t) { return engine_.ordered_before(x, t); }
-
-  /// Run replay fast path (compressed traces): the template `events[0..len)`
-  /// was just fed once per-event; applies `extra_reps` further repetitions
-  /// in O(len) TOTAL iff every template event is a read/write whose shadow
-  /// cell holds a cached owner-epoch verdict for its actor AND whose
-  /// relevant supremum already folded to that actor — then each repetition
-  /// is a full no-op except the access ordinal. Returns false untouched
-  /// otherwise (caller replays per-event).
-  bool try_apply_clean_run(const TraceEvent* events, std::size_t len,
-                           std::uint64_t extra_reps);
-
-  const RaceReporter& reporter() const { return reporter_; }
-  /// Mutable access for incremental consumers (RaceReporter::take()): a
-  /// detection session drains pending reports without stopping the replay.
-  RaceReporter& mutable_reporter() { return reporter_; }
-  bool race_found() const { return reporter_.any(); }
-
   std::size_t task_count() const { return engine_.vertex_count(); }
-  std::size_t access_count() const { return access_count_; }
-  std::size_t tracked_locations() const { return history_.location_count(); }
+  std::size_t heap_bytes() const { return engine_.heap_bytes(); }
 
-  /// Exact byte accounting for E2: shadow = per-location, per-task = DSU.
-  MemoryFootprint footprint() const;
-
-  /// Snapshot image of the whole detector: DSU engine, shadow cells,
-  /// reporter totals, and the access ordinal counter. Policy is NOT part of
-  /// the state — the restoring side constructs the detector with the
-  /// session's recorded policy first.
-  struct State {
-    SupremaEngine::State engine;
-    std::vector<std::pair<Loc, ShadowCell>> cells;
-    std::vector<RaceReport> undrained;
-    RaceReport first;
-    std::uint64_t reports_total = 0;
-    std::uint64_t access_count = 0;
-  };
-  State export_state() const;
-  void import_state(State&& s);
+  State export_state() const { return engine_.export_state(); }
+  void import_state(State&& s) { engine_.import_state(std::move(s)); }
+  VertexId export_summary(VertexId s) const { return s; }
+  VertexId import_summary(VertexId s) const {
+    R2D_REQUIRE(s == kInvalidVertex || s < engine_.vertex_count(),
+                "shadow cell supremum out of range");
+    return s;
+  }
 
  private:
   SupremaEngine engine_;
-  AccessHistory history_;
-  RaceReporter reporter_;
-  std::size_t access_count_ = 0;
 };
+
+using OnlineRaceDetector = RaceDetector<DsuClock>;
 
 /// One memory access attached to a task-graph vertex.
 struct VertexAccess {

@@ -37,7 +37,7 @@ struct ParallelOnlineDetector::Chunk {
 /// aligned so neighboring stripes don't false-share their mutexes.
 struct alignas(64) ParallelOnlineDetector::Stripe {
   std::mutex mu;
-  FlatHashMap<Loc, DepaShadowCell> cells;
+  ShadowMap<IntervalOrder> cells;
   RaceReporter reporter;
   std::size_t accesses = 0;
 };
@@ -157,26 +157,23 @@ void ParallelOnlineDetector::flush(TaskId t, TaskState& s) {
 
 void ParallelOnlineDetector::apply(Stripe& stripe, Loc loc, AccessKind kind,
                                    const OmInterval* v, TaskId t) {
+  const IntervalOrder order;
   switch (kind) {
     case AccessKind::kRead:
       ++stripe.accesses;
-      detail::depa_read(stripe.cells[loc], v, t, loc, stripe.accesses,
-                        stripe.reporter);
+      detail::shadow_read(order, stripe.cells[loc], v, t, loc, stripe.accesses,
+                          stripe.reporter);
       break;
     case AccessKind::kWrite:
       ++stripe.accesses;
-      detail::depa_write(stripe.cells[loc], v, t, loc, stripe.accesses,
-                         stripe.reporter);
+      detail::shadow_write(order, stripe.cells[loc], v, t, loc,
+                           stripe.accesses, stripe.reporter);
       break;
-    case AccessKind::kRetire: {
-      DepaShadowCell* cell = stripe.cells.find(loc);
-      if (cell == nullptr) break;  // never accessed: not an access
-      ++stripe.accesses;
-      detail::depa_retire_check(*cell, v, t, loc, stripe.accesses,
-                                stripe.reporter);
-      stripe.cells.erase(loc);
+    case AccessKind::kRetire:
+      if (detail::shadow_retire(order, stripe.cells, v, t, loc,
+                                stripe.accesses + 1, stripe.reporter))
+        ++stripe.accesses;
       break;
-    }
   }
 }
 

@@ -14,9 +14,9 @@
 //            buffer hits the flush threshold — the task applies its buffered
 //            accesses to the shadow cells, which live in location-striped
 //            shards, each guarded by its own mutex;
-//   resolve  applying an access runs the same depa_read/write/retire
-//            routines as serial replay, against the accessing task's
-//            interval timestamp.
+//   resolve  applying an access runs the same Figure-6 cell routines as
+//            serial replay (core/shadow_ops.hpp over IntervalOrder),
+//            against the accessing task's interval timestamp.
 //
 // Clock locks. Forks and joins insert into the shared OmClock lists, so
 // they serialise on insert_mu_. An insert that relabels rewrites published
@@ -61,9 +61,9 @@
 #include <shared_mutex>
 #include <vector>
 
-#include "core/depa_detector.hpp"
 #include "core/om_timestamps.hpp"
 #include "core/report.hpp"
+#include "core/shadow_ops.hpp"
 #include "runtime/parallel_executor.hpp"
 #include "support/flat_hash_map.hpp"
 #include "support/mem_accounting.hpp"

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "core/detector.hpp"
 #include "core/shadow_ops.hpp"
 #include "core/suprema_walk.hpp"
 #include "support/assert.hpp"
@@ -230,8 +229,9 @@ void ShardedTraceAnalyzer::run_shard(std::size_t shard, RaceReporter& reporter,
   // Private engine + shadow memory: the full last-arc forest (every worker
   // replays all structure), but cells only for owned locations.
   SupremaEngine engine(task_count_);
-  AccessHistory history;
-  history.reserve(shard_locs_[shard]);
+  const SupremaOrder order(engine);
+  ShadowMap<SupremaOrder> cells;
+  cells.reserve(shard_locs_[shard]);
   engine.on_loop(0);  // the root task is live from the start
 
   const Trace& trace = *trace_;
@@ -240,7 +240,7 @@ void ShardedTraceAnalyzer::run_shard(std::size_t shard, RaceReporter& reporter,
     switch (e.op) {
       case TraceOp::kFork:
         // Fork arcs are never last-arcs; the child's first loop follows
-        // immediately in fork-first order (cf. OnlineRaceDetector::on_fork).
+        // immediately in fork-first order (cf. DsuClock::on_fork).
         engine.on_loop(e.other);
         break;
       case TraceOp::kJoin:
@@ -254,22 +254,22 @@ void ShardedTraceAnalyzer::run_shard(std::size_t shard, RaceReporter& reporter,
         if (shard_of(e.loc) == shard) {
           engine.on_loop(e.actor);
           ++stats.checked_accesses;
-          detail::shadow_read(engine, history.cell(e.loc), e.actor, e.loc,
-                              ordinal_[i], reporter);
+          detail::shadow_read(order, cells[e.loc], e.actor, e.actor,
+                              e.loc, ordinal_[i], reporter);
         }
         break;
       case TraceOp::kWrite:
         if (shard_of(e.loc) == shard) {
           engine.on_loop(e.actor);
           ++stats.checked_accesses;
-          detail::shadow_write(engine, history.cell(e.loc), e.actor, e.loc,
-                               ordinal_[i], reporter);
+          detail::shadow_write(order, cells[e.loc], e.actor, e.actor,
+                               e.loc, ordinal_[i], reporter);
         }
         break;
       case TraceOp::kRetire:
         if (shard_of(e.loc) == shard) {
           engine.on_loop(e.actor);
-          if (detail::shadow_retire(engine, history, e.actor, e.loc,
+          if (detail::shadow_retire(order, cells, e.actor, e.actor, e.loc,
                                     ordinal_[i], reporter)) {
             ++stats.checked_accesses;
           }
@@ -283,7 +283,7 @@ void ShardedTraceAnalyzer::run_shard(std::size_t shard, RaceReporter& reporter,
         break;  // annotations: no engine action (cf. OnlineRaceDetector)
     }
   }
-  stats.tracked_locations = history.location_count();
+  stats.tracked_locations = cells.size();
   stats.races = reporter.count();
 }
 
@@ -294,8 +294,9 @@ void ShardedTraceAnalyzer::run_shard_compact(std::size_t shard,
                                              RaceReporter& reporter,
                                              ShardStats& stats) const {
   SupremaEngine engine(task_count_);
-  AccessHistory history;
-  history.reserve(shard_locs_[shard]);
+  const SupremaOrder order(engine);
+  ShadowMap<SupremaOrder> cells;
+  cells.reserve(shard_locs_[shard]);
   engine.on_loop(0);  // the root task is live from the start
 
   std::size_t base = 0;  // global ordinal of the current chunk's first access
@@ -319,14 +320,14 @@ void ShardedTraceAnalyzer::run_shard_compact(std::size_t shard,
         case TraceOp::kRead:
           engine.on_loop(e.actor);
           ++stats.checked_accesses;
-          detail::shadow_read(engine, history.cell(e.loc), e.actor, e.loc,
-                              base + e.rel_ordinal, reporter);
+          detail::shadow_read(order, cells[e.loc], e.actor, e.actor,
+                              e.loc, base + e.rel_ordinal, reporter);
           break;
         case TraceOp::kWrite:
           engine.on_loop(e.actor);
           ++stats.checked_accesses;
-          detail::shadow_write(engine, history.cell(e.loc), e.actor, e.loc,
-                               base + e.rel_ordinal, reporter);
+          detail::shadow_write(order, cells[e.loc], e.actor, e.actor,
+                               e.loc, base + e.rel_ordinal, reporter);
           break;
         default:
           break;  // retires never reach the compact path
@@ -334,7 +335,7 @@ void ShardedTraceAnalyzer::run_shard_compact(std::size_t shard,
     }
     base += chunk_rw_[c];
   }
-  stats.tracked_locations = history.location_count();
+  stats.tracked_locations = cells.size();
   stats.races = reporter.count();
 }
 
@@ -344,8 +345,9 @@ void ShardedTraceAnalyzer::run_shard_compact(std::size_t shard,
 void ShardedTraceAnalyzer::run_shard_direct(RaceReporter& reporter,
                                             ShardStats& stats) const {
   SupremaEngine engine(task_count_);
-  AccessHistory history;
-  history.reserve(shard_locs_[0]);
+  const SupremaOrder order(engine);
+  ShadowMap<SupremaOrder> cells;
+  cells.reserve(shard_locs_[0]);
   engine.on_loop(0);  // the root task is live from the start
 
   std::size_t ordinal = 0;
@@ -364,20 +366,20 @@ void ShardedTraceAnalyzer::run_shard_direct(RaceReporter& reporter,
       case TraceOp::kRead:
         engine.on_loop(e.actor);
         ++stats.checked_accesses;
-        detail::shadow_read(engine, history.cell(e.loc), e.actor, e.loc,
-                            ++ordinal, reporter);
+        detail::shadow_read(order, cells[e.loc], e.actor, e.actor,
+                            e.loc, ++ordinal, reporter);
         break;
       case TraceOp::kWrite:
         engine.on_loop(e.actor);
         ++stats.checked_accesses;
-        detail::shadow_write(engine, history.cell(e.loc), e.actor, e.loc,
-                             ++ordinal, reporter);
+        detail::shadow_write(order, cells[e.loc], e.actor, e.actor,
+                             e.loc, ++ordinal, reporter);
         break;
       default:
         break;  // retires can't occur here; sync / finish: no engine action
     }
   }
-  stats.tracked_locations = history.location_count();
+  stats.tracked_locations = cells.size();
   stats.races = reporter.count();
 }
 
@@ -445,46 +447,6 @@ std::vector<RaceReport> detect_races_parallel(const Trace& trace,
                                               LintGate gate) {
   ShardedTraceAnalyzer analyzer(trace, shards, gate);
   return analyzer.run(policy);
-}
-
-std::vector<RaceReport> detect_races_trace(const Trace& trace,
-                                           ReportPolicy policy,
-                                           LintGate gate) {
-  if (gate == LintGate::kEnforce) require_lint_clean(trace);
-  OnlineRaceDetector detector(policy);
-  detector.on_root();
-  for (const TraceEvent& e : trace) {
-    switch (e.op) {
-      case TraceOp::kFork: {
-        const TaskId assigned = detector.on_fork(e.actor);
-        R2D_REQUIRE(assigned == e.other,
-                    "trace task ids must be dense in fork order");
-        break;
-      }
-      case TraceOp::kJoin:
-        detector.on_join(e.actor, e.other);
-        break;
-      case TraceOp::kHalt:
-        detector.on_halt(e.actor);
-        break;
-      case TraceOp::kRead:
-        detector.on_read(e.actor, e.loc);
-        break;
-      case TraceOp::kWrite:
-        detector.on_write(e.actor, e.loc);
-        break;
-      case TraceOp::kRetire:
-        detector.on_retire(e.actor, e.loc);
-        break;
-      case TraceOp::kSync:
-      case TraceOp::kFinishBegin:
-      case TraceOp::kFinishEnd:
-      case TraceOp::kAcquire:
-      case TraceOp::kRelease:
-        break;
-    }
-  }
-  return detector.reporter().all();
 }
 
 }  // namespace race2d

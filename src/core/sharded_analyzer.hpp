@@ -30,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "core/report.hpp"
 #include "runtime/trace.hpp"
 #include "verify/trace_lint.hpp"
@@ -142,10 +143,12 @@ std::vector<RaceReport> detect_races_parallel(
     ReportPolicy policy = ReportPolicy::kAll,
     LintGate gate = LintGate::kEnforce);
 
-/// Serial reference: replays `trace` through one OnlineRaceDetector. Kept
-/// as an independent code path so tests can check the sharded analyzer
-/// against it. Lint-failing traces raise TraceLintError unless the gate is
-/// kSkip.
+/// Serial reference: replays `trace` through one Figure-6 detector —
+/// OnlineRaceDetector by default, or DePaDetector. Kept as an independent
+/// code path so tests can check the sharded analyzer against it; the two
+/// engines' outputs are bit-identical on lint-clean traces. Lint-failing
+/// traces raise TraceLintError unless the gate is kSkip.
+template <typename Detector = OnlineRaceDetector>
 std::vector<RaceReport> detect_races_trace(
     const Trace& trace, ReportPolicy policy = ReportPolicy::kAll,
     LintGate gate = LintGate::kEnforce);

@@ -5,15 +5,16 @@
 // Feed the events of a (delayed) non-separating traversal in order via
 // on_event(); between a vertex's loop and the next event, report that
 // vertex's memory accesses via on_read/on_write/on_retire. This is exactly
-// Figure 8's Walk with Figure 6 as the query callback; OnlineRaceDetector
+// Figure 8's Walk with Figure 6 as the query callback (the shared cell
+// routines of core/shadow_ops.hpp over SupremaOrder); OnlineRaceDetector
 // is the thread-collapsed specialization of this class, and
 // detect_races_offline() is its batch driver.
 #pragma once
 
 #include <cstddef>
 
-#include "core/access_history.hpp"
 #include "core/report.hpp"
+#include "core/shadow_ops.hpp"
 #include "core/suprema_walk.hpp"
 #include "support/ids.hpp"
 #include "support/mem_accounting.hpp"
@@ -30,7 +31,7 @@ class StreamingLatticeDetector {
   VertexId add_vertex() { return engine_.add_vertex(); }
 
   /// Pre-size the shadow map for `n` distinct locations (optional).
-  void reserve_locations(std::size_t n) { history_.reserve(n); }
+  void reserve_locations(std::size_t n) { cells_.reserve(n); }
 
   /// Advances the walk by one traversal event (loop / last-arc / stop-arc;
   /// ordinary arcs are no-ops). Events must arrive in traversal order.
@@ -54,12 +55,12 @@ class StreamingLatticeDetector {
   const RaceReporter& reporter() const { return reporter_; }
   bool race_found() const { return reporter_.any(); }
   std::size_t access_count() const { return access_count_; }
-  std::size_t tracked_locations() const { return history_.location_count(); }
+  std::size_t tracked_locations() const { return cells_.size(); }
   MemoryFootprint footprint() const;
 
  private:
   SupremaEngine engine_;
-  AccessHistory history_;
+  ShadowMap<SupremaOrder> cells_;
   RaceReporter reporter_;
   VertexId current_ = kInvalidVertex;
   std::size_t access_count_ = 0;

@@ -218,14 +218,12 @@ DifferentialResult run_differential(const Trace& trace,
 
   // 1b. DePa list backend: same event stream, timestamps instead of DSU
   //     suprema — must reproduce the serial report stream exactly.
-  if (config.depa_backend) {
-    const std::vector<RaceReport> depa =
-        detect_races_trace_depa(trace, ReportPolicy::kAll, LintGate::kSkip);
-    ++result.detectors_run;
-    if (depa != serial) {
-      fail("depa backend diverges from serial replay: " +
-           describe("serial", serial) + " vs " + describe("depa", depa));
-    }
+  const std::vector<RaceReport> depa = detect_races_trace<DePaDetector>(
+      trace, ReportPolicy::kAll, LintGate::kSkip);
+  ++result.detectors_run;
+  if (depa != serial) {
+    fail("depa backend diverges from serial replay: " +
+         describe("serial", serial) + " vs " + describe("depa", depa));
   }
 
   // 2. The naive §2.3 gold reference and the offline walks share one task
@@ -233,15 +231,13 @@ DifferentialResult run_differential(const Trace& trace,
   const TaskGraph tg = build_task_graph(trace);
   agree_first("naive-gold", detect_races_naive(tg).races, true);
   ++result.detectors_run;
-  if (config.run_offline) {
-    for (const WalkMode mode : {WalkMode::kNonSeparating, WalkMode::kDelayed,
-                                WalkMode::kRuntimeDelayed}) {
-      const std::vector<RaceReport> offline =
-          detect_races_offline(tg.diagram, tg.ops, mode);
-      ++result.detectors_run;
-      agree_first((std::string("offline-") + to_string(mode)).c_str(), offline,
-                  true);
-    }
+  for (const WalkMode mode : {WalkMode::kNonSeparating, WalkMode::kDelayed,
+                              WalkMode::kRuntimeDelayed}) {
+    const std::vector<RaceReport> offline =
+        detect_races_offline(tg.diagram, tg.ops, mode);
+    ++result.detectors_run;
+    agree_first((std::string("offline-") + to_string(mode)).c_str(), offline,
+                true);
   }
 
   // 3. Epoch-world baselines understand fork/join/access only, so they are

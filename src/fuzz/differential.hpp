@@ -5,8 +5,8 @@
 // paper's guarantees, not wishful exactness):
 //   * detect_races_parallel / ShardedTraceAnalyzer (every shard count) must
 //     be BIT-IDENTICAL to serial replay — PR 1's determinism claim.
-//   * detect_races_trace_depa (the order-maintenance list backend) must be
-//     BIT-IDENTICAL to serial replay: the maxima-pair shadow cells are
+//   * detect_races_trace<DePaDetector> (the order-maintenance list clock)
+//     must be BIT-IDENTICAL to serial replay: its maxima-pair summaries are
 //     verdict-equivalent to the DSU suprema by construction, and the panel
 //     holds the implementation to it report-for-report.
 //   * detect_races_offline (all three walk modes), the naive gold reference,
@@ -38,12 +38,6 @@ namespace race2d {
 struct DifferentialConfig {
   /// Shard counts to replay with (each compared bit-for-bit to serial).
   std::vector<std::size_t> shard_counts = {2, 3, 8};
-  /// Run detect_races_offline over the materialized task graph (all modes).
-  bool run_offline = true;
-  /// Replay through the DePa order-maintenance backend (DePaDetector) and
-  /// require BIT-IDENTICAL agreement with serial replay — the label world
-  /// and the DSU world must tell the same story, report for report.
-  bool depa_backend = true;
   /// Re-prove the first report's certificate against the oracle.
   bool certify = true;
   /// Consult SP-bags / ESP-bags when the trace's features allow it. The

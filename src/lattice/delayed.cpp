@@ -1,6 +1,7 @@
 #include "lattice/delayed.hpp"
 
-#include "graph/reachability.hpp"
+#include <algorithm>
+
 #include "support/assert.hpp"
 
 namespace race2d {
@@ -8,16 +9,18 @@ namespace race2d {
 std::vector<char> delayed_arc_flags(const Diagram& d, const Traversal& t) {
   const Digraph& g = d.graph();
   const std::size_t n = g.vertex_count();
-  TransitiveClosure closure(g);
   const std::vector<std::size_t> loop_pos = loop_positions(t, n);
 
   // latest_pred_loop[v]: the largest loop position among strict predecessors
   // of v. An arc into v at position p is delayed iff p < latest_pred_loop[v].
+  // Loop order is topological (a vertex loops only after all its in-arcs), so
+  // one pass over it folds each vertex's direct predecessors together with
+  // their own already-final strict-predecessor maxima.
   std::vector<std::size_t> latest_pred_loop(n, 0);
-  for (VertexId v = 0; v < n; ++v)
-    for (VertexId x = 0; x < n; ++x)
-      if (x != v && closure.reaches(x, v))
-        latest_pred_loop[v] = std::max(latest_pred_loop[v], loop_pos[x]);
+  for (const VertexId v : loop_order(t))
+    for (const VertexId u : g.in(v))
+      latest_pred_loop[v] = std::max(
+          {latest_pred_loop[v], loop_pos[u], latest_pred_loop[u]});
 
   std::vector<char> delayed(t.size(), 0);
   for (std::size_t i = 0; i < t.size(); ++i) {

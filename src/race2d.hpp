@@ -14,12 +14,12 @@
 //     // result.races holds one write-write report.
 #pragma once
 
-#include "core/access_history.hpp"    // Θ(1)-per-location shadow memory
 #include "core/addressing.hpp"        // granularity policies (front-end)
 #include "core/analysis.hpp"          // race-report aggregation
 #include "core/delayed_walk.hpp"      // Figure 8: relaxed online suprema
 #include "core/detector.hpp"          // Figure 6: the race detectors
 #include "core/report.hpp"            // race reports & policies
+#include "core/shadow_ops.hpp"        // Θ(1)-per-location shadow cells
 #include "core/sharded_analyzer.hpp"  // location-sharded parallel replay
 #include "core/streaming_detector.hpp" // language-independent online form
 #include "core/suprema_walk.hpp"      // Figure 5: suprema in 2D lattices

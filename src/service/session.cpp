@@ -24,13 +24,7 @@ TraceLintOptions gate_options() {
 DetectionSession::DetectionSession(ReportPolicy policy,
                                    std::size_t max_pending_reports,
                                    DetectorEngine engine)
-    : max_pending_reports_(max_pending_reports),
-      lint_(gate_options()),
-      detector_(engine == DetectorEngine::kDepa
-                    ? std::variant<OnlineRaceDetector, DePaDetector>(
-                          std::in_place_type<DePaDetector>, policy)
-                    : std::variant<OnlineRaceDetector, DePaDetector>(
-                          std::in_place_type<OnlineRaceDetector>, policy)) {
+    : DetectionSession(RestoreTag{}, policy, max_pending_reports, engine) {
   // The initial line {root | program} — both engines number it task 0.
   std::visit([](auto& d) { d.on_root(); }, detector_);
 }
@@ -43,31 +37,6 @@ DetectionSession::FeedOutcome DetectionSession::poison(ServiceStatus status,
   out.status = poison_status_;
   out.message = poison_message_;
   return out;
-}
-
-void DetectionSession::drive(const TraceEvent& e) {
-  std::visit(
-      [&e](auto& d) {
-        switch (e.op) {
-          case TraceOp::kFork:
-            // Lint enforced dense fork-order numbering, so the detector's
-            // fresh id equals e.other by construction.
-            d.on_fork(e.actor);
-            break;
-          case TraceOp::kJoin:   d.on_join(e.actor, e.other); break;
-          case TraceOp::kHalt:   d.on_halt(e.actor); break;
-          case TraceOp::kRead:   d.on_read(e.actor, e.loc); break;
-          case TraceOp::kWrite:  d.on_write(e.actor, e.loc); break;
-          case TraceOp::kRetire: d.on_retire(e.actor, e.loc); break;
-          case TraceOp::kSync:
-          case TraceOp::kFinishBegin:
-          case TraceOp::kFinishEnd:
-          case TraceOp::kAcquire:
-          case TraceOp::kRelease:
-            break;  // ordering no-ops for the §4 detector
-        }
-      },
-      detector_);
 }
 
 DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
@@ -101,60 +70,62 @@ DetectionSession::FeedOutcome DetectionSession::feed(const std::string& bytes) {
   fed_bytes_ += bytes.size();
 
   FeedOutcome out;
-  bool rejected = false;
-  const auto feed_one = [&](const TraceEvent& e) {
-    if (!lint_.feed(e)) {
-      // The offending event never reaches the detector; everything decoded
-      // before it was already checked and detected.
-      rejected = true;
-      return false;
-    }
-    drive(e);
-    ++events_total_;
-    ++out.events;
-    return true;
-  };
-  std::size_t run_idx = 0;
-  for (std::size_t i = 0; i < scratch_.size() && !rejected;) {
-    if (run_idx < runs_.size() && runs_[run_idx].first == i) {
-      // A stationary compressed run: feed the materialized first repetition
-      // per-event, then try to apply the `extra` unmaterialized repetitions
-      // in one step (clean same-task access runs are full no-ops on every
-      // engine state except the access ordinal). Fallback re-feeds the
-      // template slice per-event — bit-identical, just slower.
-      const DecodedRun run = runs_[run_idx++];
-      for (std::size_t j = 0; j < run.len && !rejected; ++j)
-        feed_one(scratch_[i + j]);
-      if (rejected) break;
-      const TraceEvent* tmpl = scratch_.data() + i;
-      const bool applied = std::visit(
-          [&](auto& d) {
-            return d.try_apply_clean_run(tmpl, run.len, run.extra);
-          },
-          detector_);
-      if (applied) {
-        lint_.note_replayed(static_cast<std::uint64_t>(run.len) * run.extra);
-        events_total_ += static_cast<std::uint64_t>(run.len) * run.extra;
-        out.events += static_cast<std::uint64_t>(run.len) * run.extra;
-      } else {
-        for (std::uint64_t r = 0; r < run.extra && !rejected; ++r)
-          for (std::size_t j = 0; j < run.len && !rejected; ++j)
-            feed_one(tmpl[j]);
-      }
-      i += run.len;
-    } else {
-      feed_one(scratch_[i]);
-      ++i;
-    }
-  }
+  // One engine dispatch per feed: the event loop below is instantiated
+  // per detector type.
+  const bool rejected = std::visit(
+      [&](auto& d) {
+        const auto feed_one = [&](const TraceEvent& e) {
+          // The offending event never reaches the detector; everything
+          // decoded before it was already checked and detected. Lint
+          // enforced dense fork-order numbering, so the detector's fresh
+          // fork id equals e.other by construction.
+          if (!lint_.feed(e)) return false;
+          d.on_event(e);
+          ++events_total_;
+          ++out.events;
+          return true;
+        };
+        std::size_t run_idx = 0;
+        for (std::size_t i = 0; i < scratch_.size();) {
+          if (run_idx < runs_.size() && runs_[run_idx].first == i) {
+            // A stationary compressed run: feed the materialized first
+            // repetition per-event, then try to apply the `extra`
+            // unmaterialized repetitions in one step (clean same-task
+            // access runs are full no-ops on every engine state except the
+            // access ordinal). Fallback re-feeds the template slice
+            // per-event — bit-identical, just slower.
+            const DecodedRun run = runs_[run_idx++];
+            const TraceEvent* tmpl = scratch_.data() + i;
+            for (std::size_t j = 0; j < run.len; ++j)
+              if (!feed_one(tmpl[j])) return true;
+            const std::uint64_t folded =
+                static_cast<std::uint64_t>(run.len) * run.extra;
+            if (d.try_apply_clean_run(tmpl, run.len, run.extra)) {
+              lint_.note_replayed(folded);
+              events_total_ += folded;
+              out.events += folded;
+            } else {
+              for (std::uint64_t r = 0; r < run.extra; ++r)
+                for (std::size_t j = 0; j < run.len; ++j)
+                  if (!feed_one(tmpl[j])) return true;
+            }
+            i += run.len;
+          } else {
+            if (!feed_one(scratch_[i])) return true;
+            ++i;
+          }
+        }
+        // Move this feed's fresh reports into the drain queue; the
+        // reporter's totals (any/count/first) keep describing the whole
+        // session.
+        const std::vector<RaceReport> fresh = d.mutable_reporter().take();
+        pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+        return false;
+      },
+      detector_);
   if (rejected)
     return poison(ServiceStatus::kLintReject,
                   to_string(lint_.result().first_error()));
-  // Move this feed's fresh reports into the drain queue; the reporter's
-  // totals (any/count/first) keep describing the whole session.
-  std::vector<RaceReport> fresh = std::visit(
-      [](auto& d) { return d.mutable_reporter().take(); }, detector_);
-  pending_.insert(pending_.end(), fresh.begin(), fresh.end());
   out.pending_reports = static_cast<std::uint32_t>(pending_.size());
   out.backpressure = pending_.size() * 2 >= max_pending_reports_;
   return out;
@@ -245,7 +216,8 @@ std::unique_ptr<DetectionSession> DetectionSession::restore(State&& s) {
     std::get<OnlineRaceDetector>(session->detector_)
         .import_state(std::move(s.dsu));
   else
-    std::get<DePaDetector>(session->detector_).import_state(s.depa);
+    std::get<DePaDetector>(session->detector_)
+        .import_state(std::move(s.depa));
   session->pending_ = std::move(s.pending);
   session->events_total_ = s.events_total;
   session->fed_bytes_ = s.fed_bytes;

@@ -261,157 +261,188 @@ TraceLintStream::Snapshot get_lint(Reader& r) {
   return l;
 }
 
-// ----------------------------------------------------- DSU engine section --
+// ------------------------------------------------------ detector sections --
+//
+// detector := clock image  cells:u64  cell*  undrained  first  reports_total
+//             access_count
+// cell     := loc:u64  read  write  owner:u32  stamp
+// Only the clock image and a cell's summary and stamp fields differ between
+// engines; EngineCodec<Clock> writes, reads and validates those.
 
-void put_dsu(Writer& w, const OnlineRaceDetector::State& s) {
-  const std::size_t n = s.engine.dsu.parent.size();
-  w.u64(n);
-  for (std::uint32_t v : s.engine.dsu.parent) w.u32(v);
-  w.bytes(s.engine.dsu.rank.data(), s.engine.dsu.rank.size());
-  for (std::uint32_t v : s.engine.dsu.label) w.u32(v);
-  w.bytes(s.engine.dsu.visited.data(), s.engine.dsu.visited.size());
-  w.u64(s.engine.version);
-  w.u64(s.cells.size());
-  for (const auto& [loc, cell] : s.cells) {
-    w.u64(loc);
-    w.u32(cell.read_sup);
-    w.u32(cell.write_sup);
-    w.u32(cell.epoch_task);
-    w.u64(cell.epoch_version);
-  }
-  put_reports(w, s.undrained);
-  put_report(w, s.first);
-  w.u64(s.reports_total);
-  w.u64(s.access_count);
-}
+template <typename Clock>
+struct EngineCodec;
 
-OnlineRaceDetector::State get_dsu(Reader& r) {
-  OnlineRaceDetector::State s;
-  const std::size_t n = r.count(10);  // 4+1+4+1 bytes per vertex
-  const auto valid_vertex = [n](std::uint32_t v) {
-    return v == kInvalidVertex || v < n;
-  };
-  s.engine.dsu.parent.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = r.u32();
-    if (v >= n) reject("K007", "DSU parent names a missing vertex");
-    s.engine.dsu.parent.push_back(v);
+/// DSU: the labeled union-find arrays plus the structural version; a
+/// summary is a u32 vertex id, the stamp the u64 version it was cached at.
+template <>
+struct EngineCodec<DsuClock> {
+  static constexpr std::size_t kMinCellBytes = 24;
+
+  static void put_clock(Writer& w, const DsuClock::State& s) {
+    w.u64(s.dsu.parent.size());
+    for (std::uint32_t v : s.dsu.parent) w.u32(v);
+    w.bytes(s.dsu.rank.data(), s.dsu.rank.size());
+    for (std::uint32_t v : s.dsu.label) w.u32(v);
+    w.bytes(s.dsu.visited.data(), s.dsu.visited.size());
+    w.u64(s.version);
   }
-  r.need(n);
-  s.engine.dsu.rank.assign(r.p + r.pos, r.p + r.pos + n);
-  r.pos += n;
-  s.engine.dsu.label.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t v = r.u32();
-    if (v >= n) reject("K007", "DSU label names a missing vertex");
-    s.engine.dsu.label.push_back(v);
+  static DsuClock::State get_clock(Reader& r) {
+    DsuClock::State s;
+    const std::size_t n = r.count(10);  // 4+1+4+1 bytes per vertex
+    s.dsu.parent.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t v = r.u32();
+      if (v >= n) reject("K007", "DSU parent names a missing vertex");
+      s.dsu.parent.push_back(v);
+    }
+    r.need(n);
+    s.dsu.rank.assign(r.p + r.pos, r.p + r.pos + n);
+    r.pos += n;
+    s.dsu.label.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t v = r.u32();
+      if (v >= n) reject("K007", "DSU label names a missing vertex");
+      s.dsu.label.push_back(v);
+    }
+    r.need(n);
+    s.dsu.visited.assign(r.p + r.pos, r.p + r.pos + n);
+    r.pos += n;
+    s.version = r.u64();
+    return s;
   }
-  r.need(n);
-  s.engine.dsu.visited.assign(r.p + r.pos, r.p + r.pos + n);
-  r.pos += n;
-  s.engine.version = r.u64();
-  const std::size_t cells = r.count(24);
-  s.cells.reserve(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    const Loc loc = r.u64();
-    ShadowCell cell;
-    cell.read_sup = r.u32();
-    cell.write_sup = r.u32();
-    cell.epoch_task = r.u32();
-    cell.epoch_version = r.u64();
-    if (!valid_vertex(cell.read_sup) || !valid_vertex(cell.write_sup) ||
-        !valid_vertex(cell.epoch_task))
+  static void put_summary(Writer& w, VertexId v) { w.u32(v); }
+  static VertexId get_summary(Reader& r) { return r.u32(); }
+  static void put_stamp(Writer& w, std::uint64_t version) { w.u64(version); }
+  static std::uint64_t get_stamp(Reader& r) { return r.u64(); }
+
+  template <typename CellState>
+  static void check_cell(const DsuClock::State& s, const CellState& c) {
+    const std::size_t n = s.dsu.parent.size();
+    const auto valid = [n](std::uint32_t v) {
+      return v == kInvalidVertex || v < n;
+    };
+    if (!valid(c.read) || !valid(c.write) || !valid(c.owner))
       reject("K007", "shadow cell names a missing vertex");
-    s.cells.emplace_back(loc, cell);
   }
-  s.undrained = get_reports(r);
-  s.first = get_report(r);
-  s.reports_total = r.u64();
-  s.access_count = r.u64();
-  return s;
-}
+};
 
-// ---------------------------------------------------- DePa engine section --
+/// DePa: per-interval (e_rank, h_rank, task) triples plus each task's
+/// current interval index; a summary is two u64 interval indices, and there
+/// is no stamp.
+template <>
+struct EngineCodec<DePaClock> {
+  static constexpr std::size_t kMinCellBytes = 44;
 
-void put_depa(Writer& w, const DePaDetector::State& s) {
-  w.u64(s.clock.intervals.size());
-  for (const OmClock::IntervalState& iv : s.clock.intervals) {
-    w.u32(iv.e_rank);
-    w.u32(iv.h_rank);
-    w.u32(iv.task);
+  static void put_clock(Writer& w, const DePaClock::State& s) {
+    w.u64(s.intervals.size());
+    for (const OmClock::IntervalState& iv : s.intervals) {
+      w.u32(iv.e_rank);
+      w.u32(iv.h_rank);
+      w.u32(iv.task);
+    }
+    w.u64(s.cur.size());
+    for (std::uint64_t idx : s.cur) w.u64(idx);
   }
-  w.u64(s.cur.size());
-  for (std::uint64_t idx : s.cur) w.u64(idx);
-  w.u64(s.cells.size());
-  for (const DePaDetector::CellState& c : s.cells) {
-    w.u64(c.loc);
-    w.u64(c.read_emax);
-    w.u64(c.read_hmax);
-    w.u64(c.write_emax);
-    w.u64(c.write_hmax);
-    w.u32(c.owner);
+  static DePaClock::State get_clock(Reader& r) {
+    DePaClock::State s;
+    const std::size_t intervals = r.count(12);  // e_rank, h_rank, task
+    s.intervals.reserve(intervals);
+    // Each list's ranks must be a permutation of [0, intervals): restore
+    // relinks the lists in rank order.
+    std::vector<bool> e_seen(intervals, false);
+    std::vector<bool> h_seen(intervals, false);
+    for (std::size_t i = 0; i < intervals; ++i) {
+      OmClock::IntervalState iv;
+      iv.e_rank = r.u32();
+      iv.h_rank = r.u32();
+      iv.task = r.u32();
+      if (iv.e_rank >= intervals || e_seen[iv.e_rank] ||
+          iv.h_rank >= intervals || h_seen[iv.h_rank])
+        reject("K006", "interval list ranks are not a permutation");
+      e_seen[iv.e_rank] = h_seen[iv.h_rank] = true;
+      s.intervals.push_back(iv);
+    }
+    const std::size_t tasks = r.count(8);
+    s.cur.reserve(tasks);
+    for (std::size_t i = 0; i < tasks; ++i) {
+      const std::uint64_t idx = r.u64();
+      if (idx >= intervals)
+        reject("K007", "task interval index names a missing interval");
+      s.cur.push_back(idx);
+    }
+    for (const OmClock::IntervalState& iv : s.intervals) {
+      if (iv.task != kInvalidTask && iv.task >= tasks)
+        reject("K007", "interval names a missing task");
+    }
+    return s;
   }
-  put_reports(w, s.undrained);
-  put_report(w, s.first);
-  w.u64(s.reports_total);
-  w.u64(s.access_count);
-}
+  static void put_summary(Writer& w, const DePaClock::SummaryImage& m) {
+    w.u64(m.e);
+    w.u64(m.h);
+  }
+  static DePaClock::SummaryImage get_summary(Reader& r) {
+    DePaClock::SummaryImage m;
+    m.e = r.u64();
+    m.h = r.u64();
+    return m;
+  }
+  static void put_stamp(Writer&, NoStamp) {}
+  static NoStamp get_stamp(Reader&) { return {}; }
 
-DePaDetector::State get_depa(Reader& r) {
-  DePaDetector::State s;
-  const std::size_t intervals = r.count(12);  // e_rank, h_rank, task
-  s.clock.intervals.reserve(intervals);
-  // Each list's ranks must be a permutation of [0, intervals): restore
-  // relinks the lists in rank order.
-  std::vector<bool> e_seen(intervals, false);
-  std::vector<bool> h_seen(intervals, false);
-  for (std::size_t i = 0; i < intervals; ++i) {
-    OmClock::IntervalState iv;
-    iv.e_rank = r.u32();
-    iv.h_rank = r.u32();
-    iv.task = r.u32();
-    if (iv.e_rank >= intervals || e_seen[iv.e_rank] ||
-        iv.h_rank >= intervals || h_seen[iv.h_rank])
-      reject("K006", "interval list ranks are not a permutation");
-    e_seen[iv.e_rank] = h_seen[iv.h_rank] = true;
-    s.clock.intervals.push_back(iv);
-  }
-  const auto valid_index = [intervals](std::uint64_t idx) {
-    return idx == DePaDetector::kNullInterval || idx < intervals;
-  };
-  const std::size_t tasks = r.count(8);
-  s.cur.reserve(tasks);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    const std::uint64_t idx = r.u64();
-    if (idx >= intervals)
-      reject("K007", "task interval index names a missing interval");
-    s.cur.push_back(idx);
-  }
-  for (const OmClock::IntervalState& iv : s.clock.intervals) {
-    if (iv.task != kInvalidTask && iv.task >= tasks)
-      reject("K007", "interval names a missing task");
-  }
-  const std::size_t cells = r.count(44);
-  s.cells.reserve(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    DePaDetector::CellState c;
-    c.loc = r.u64();
-    c.read_emax = r.u64();
-    c.read_hmax = r.u64();
-    c.write_emax = r.u64();
-    c.write_hmax = r.u64();
-    c.owner = r.u32();
-    if (!valid_index(c.read_emax) || !valid_index(c.read_hmax) ||
-        !valid_index(c.write_emax) || !valid_index(c.write_hmax))
+  template <typename CellState>
+  static void check_cell(const DePaClock::State& s, const CellState& c) {
+    const std::size_t n = s.intervals.size();
+    const auto valid = [n](std::uint64_t idx) {
+      return idx == DePaClock::kNullInterval || idx < n;
+    };
+    if (!valid(c.read.e) || !valid(c.read.h) || !valid(c.write.e) ||
+        !valid(c.write.h))
       reject("K007", "shadow cell names a missing interval");
     // The per-kind maxima are folded together: both set or both null.
-    if ((c.read_emax == DePaDetector::kNullInterval) !=
-            (c.read_hmax == DePaDetector::kNullInterval) ||
-        (c.write_emax == DePaDetector::kNullInterval) !=
-            (c.write_hmax == DePaDetector::kNullInterval))
+    const auto half_set = [](const DePaClock::SummaryImage& m) {
+      return (m.e == DePaClock::kNullInterval) !=
+             (m.h == DePaClock::kNullInterval);
+    };
+    if (half_set(c.read) || half_set(c.write))
       reject("K007", "shadow cell maxima half-set");
-    if (c.owner != kInvalidTask && c.owner >= tasks)
+    if (c.owner != kInvalidTask && c.owner >= s.cur.size())
       reject("K007", "shadow cell owner names a missing task");
+  }
+};
+
+template <typename Clock>
+void put_detector(Writer& w, const typename RaceDetector<Clock>::State& s) {
+  using Codec = EngineCodec<Clock>;
+  Codec::put_clock(w, s.clock);
+  w.u64(s.cells.size());
+  for (const auto& c : s.cells) {
+    w.u64(c.loc);
+    Codec::put_summary(w, c.read);
+    Codec::put_summary(w, c.write);
+    w.u32(c.owner);
+    Codec::put_stamp(w, c.stamp);
+  }
+  put_reports(w, s.undrained);
+  put_report(w, s.first);
+  w.u64(s.reports_total);
+  w.u64(s.access_count);
+}
+
+template <typename Clock>
+typename RaceDetector<Clock>::State get_detector(Reader& r) {
+  using Codec = EngineCodec<Clock>;
+  typename RaceDetector<Clock>::State s;
+  s.clock = Codec::get_clock(r);
+  const std::size_t cells = r.count(Codec::kMinCellBytes);
+  s.cells.reserve(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    typename RaceDetector<Clock>::CellState c;
+    c.loc = r.u64();
+    c.read = Codec::get_summary(r);
+    c.write = Codec::get_summary(r);
+    c.owner = r.u32();
+    c.stamp = Codec::get_stamp(r);
+    Codec::check_cell(s.clock, c);
     s.cells.push_back(c);
   }
   s.undrained = get_reports(r);
@@ -462,9 +493,9 @@ DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
   s.decoder = get_decoder(r);
   s.lint = get_lint(r);
   if (s.engine == DetectorEngine::kDsu)
-    s.dsu = get_dsu(r);
+    s.dsu = get_detector<DsuClock>(r);
   else
-    s.depa = get_depa(r);
+    s.depa = get_detector<DePaClock>(r);
   s.pending = get_reports(r);
   if (r.remaining() != 0)
     reject("K005", "trailing bytes after the session state");
@@ -486,9 +517,9 @@ std::string snapshot_session(const DetectionSession& session,
   put_decoder(w, s.decoder);
   put_lint(w, s.lint);
   if (s.engine == DetectorEngine::kDsu)
-    put_dsu(w, s.dsu);
+    put_detector<DsuClock>(w, s.dsu);
   else
-    put_depa(w, s.depa);
+    put_detector<DePaClock>(w, s.depa);
   put_reports(w, s.pending);
 
   std::string blob;

@@ -3,6 +3,10 @@
 // preserves every comparison (9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "core/delayed_walk.hpp"
@@ -11,6 +15,8 @@
 #include "lattice/delayed.hpp"
 #include "lattice/generate.hpp"
 #include "lattice/traversal.hpp"
+#include "runtime/trace.hpp"
+#include "runtime/trace_io.hpp"
 #include "support/rng.hpp"
 
 namespace race2d {
@@ -181,6 +187,72 @@ TEST_P(DelayedProperty, Condition7OnRandomForkJoin) {
 TEST_P(DelayedProperty, Condition6OnRandomSp) {
   Xoshiro256 rng(GetParam() * 65537);
   check_condition6(random_sp_diagram(rng, 12 + rng.below(40)));
+}
+
+// Condition (4) straight from its definition: an arc into v at position p
+// is delayed iff some strict predecessor of v (per the full transitive
+// closure) loops after p. The reference delayed_arc_flags must reproduce.
+std::vector<char> delayed_flags_by_closure(const Diagram& d,
+                                           const Traversal& t) {
+  const TransitiveClosure closure(d.graph());
+  const std::size_t n = d.vertex_count();
+  const std::vector<std::size_t> loop_pos = loop_positions(t, n);
+  std::vector<std::size_t> latest_pred_loop(n, 0);
+  for (VertexId v = 0; v < n; ++v)
+    for (VertexId x = 0; x < n; ++x)
+      if (x != v && closure.reaches(x, v))
+        latest_pred_loop[v] = std::max(latest_pred_loop[v], loop_pos[x]);
+  std::vector<char> flags(t.size(), 0);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const TraversalEvent& e = t[i];
+    if (e.kind != EventKind::kArc && e.kind != EventKind::kLastArc) continue;
+    flags[i] = i < latest_pred_loop[e.dst] ? 1 : 0;
+  }
+  return flags;
+}
+
+void expect_flags_match_closure(const Diagram& d) {
+  const Traversal t = non_separating_traversal(d);
+  EXPECT_EQ(delayed_arc_flags(d, t), delayed_flags_by_closure(d, t));
+}
+
+TEST(DelayedFlags, MatchClosureOnFixedDiagrams) {
+  expect_flags_match_closure(figure3_diagram());
+  expect_flags_match_closure(grid_diagram(4, 5));
+  expect_flags_match_closure(grid_diagram(1, 8));
+  expect_flags_match_closure(grid_diagram(7, 3));
+}
+
+TEST_P(DelayedProperty, FlagsMatchClosureOnRandomDiagrams) {
+  Xoshiro256 rng(GetParam() * 7919);
+  ForkJoinParams params;
+  params.max_actions = 40;
+  params.max_depth = 7;
+  expect_flags_match_closure(random_fork_join_diagram(rng, params));
+  expect_flags_match_closure(random_sp_diagram(rng, 12 + rng.below(80)));
+}
+
+#ifndef RACE2D_CORPUS_DIR
+#error "tests/CMakeLists.txt must define RACE2D_CORPUS_DIR"
+#endif
+
+// The corpus task graphs, up to a size where the quadratic closure stays
+// quick (the serial fork-loop pin is past it; the corpus replay suite runs
+// its delayed walks through the differential panel instead).
+TEST(DelayedFlags, MatchClosureOnCorpusTaskGraphs) {
+  constexpr std::size_t kMaxVertices = 4096;
+  std::size_t checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RACE2D_CORPUS_DIR)) {
+    if (entry.path().extension() != ".trace") continue;
+    std::ifstream in(entry.path());
+    const TaskGraph g = build_task_graph(load_trace_text(in));
+    if (g.diagram.vertex_count() > kMaxVertices) continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    expect_flags_match_closure(g.diagram);
+    ++checked;
+  }
+  EXPECT_GE(checked, 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DelayedProperty,

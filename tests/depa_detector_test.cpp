@@ -131,7 +131,7 @@ TEST(DePaDetector, ForkMakesConcurrencyJoinOrdersIt) {
   EXPECT_EQ(det.reporter().count(), 1u);
 }
 
-// Structural mirror of detect_races_trace_depa that snapshots each access
+// Structural mirror of DePaClock that snapshots each access
 // event's interval, paired below with the task-graph vertex carrying the
 // same access (build_task_graph assigns vertices in trace order).
 struct LabeledAccesses {
@@ -216,7 +216,7 @@ TEST(DePaDetector, BitIdenticalToSerialOnGeneratedPrograms) {
     params.max_tasks = 96;
     params.loc_pool = 16;
     const Trace trace = record(random_program(params));
-    EXPECT_EQ(detect_races_trace_depa(trace), detect_races_trace(trace))
+    EXPECT_EQ(detect_races_trace<DePaDetector>(trace), detect_races_trace(trace))
         << "seed " << seed;
   }
   // Near-miss traces: every verdict hinges on a single join edge.
@@ -225,7 +225,7 @@ TEST(DePaDetector, BitIdenticalToSerialOnGeneratedPrograms) {
     params.seed = seed * 31337;
     params.max_tasks = 64;
     const Trace trace = record(near_miss_program(params, 0.3));
-    EXPECT_EQ(detect_races_trace_depa(trace), detect_races_trace(trace))
+    EXPECT_EQ(detect_races_trace<DePaDetector>(trace), detect_races_trace(trace))
         << "near-miss seed " << seed;
   }
 }
@@ -233,7 +233,7 @@ TEST(DePaDetector, BitIdenticalToSerialOnGeneratedPrograms) {
 TEST(DePaDetector, BitIdenticalToSerialOnFuzzTraces) {
   for (std::uint64_t seed = 100; seed < 140; ++seed) {
     const Trace trace = generate_trace(FuzzPlan::from_seed(seed)).trace;
-    EXPECT_EQ(detect_races_trace_depa(trace, ReportPolicy::kAll,
+    EXPECT_EQ(detect_races_trace<DePaDetector>(trace, ReportPolicy::kAll,
                                       LintGate::kSkip),
               detect_races_trace(trace, ReportPolicy::kAll, LintGate::kSkip))
         << "seed " << seed;
@@ -247,7 +247,7 @@ TEST(DePaDetector, BitIdenticalToSerialOnTheCheckedInCorpus) {
     if (entry.path().extension() != ".trace") continue;
     std::ifstream in(entry.path());
     const Trace trace = load_trace_text(in);
-    EXPECT_EQ(detect_races_trace_depa(trace), detect_races_trace(trace))
+    EXPECT_EQ(detect_races_trace<DePaDetector>(trace), detect_races_trace(trace))
         << entry.path();
     ++replayed;
   }

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,6 +98,51 @@ void reseal(std::string& blob) {
   const std::uint32_t crc = crc32c(blob.data() + 16, blob.size() - 16);
   for (int i = 0; i < 4; ++i)
     blob[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
+}
+
+#ifndef RACE2D_CORPUS_DIR
+#error "tests/CMakeLists.txt must define RACE2D_CORPUS_DIR"
+#endif
+
+std::string read_corpus_bytes(const char* name) {
+  std::ifstream in(std::string(RACE2D_CORPUS_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Pins the v3 byte layout: the snapshot of a session fed a whole corpus
+// stream (not yet closed) has a fixed length and CRC32C on each engine. Shadow
+// cells (owner caches included), the clock image and the report backlog
+// all feed the CRC, so any change to what a snapshot stores — or to the
+// detector state that produces it — shows up here.
+TEST(Snapshot, V3BlobBytesArePinned) {
+  struct Pin {
+    const char* file;
+    DetectorEngine engine;
+    std::size_t length;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {"retire-reuse-race.btrace", DetectorEngine::kDsu, 367, 779278340u},
+      {"retire-reuse-race.btrace", DetectorEngine::kDepa, 461, 3231886033u},
+      {"serial-fork-loop.btrace", DetectorEngine::kDsu, 98623, 2077428944u},
+      {"serial-fork-loop.btrace", DetectorEngine::kDepa, 237913, 4100713302u},
+  };
+  for (const Pin& pin : pins) {
+    const std::string wire = read_corpus_bytes(pin.file);
+    ASSERT_FALSE(wire.empty()) << pin.file;
+    DetectionSession session(ReportPolicy::kAll, 1u << 16, pin.engine);
+    const auto outcome = session.feed(wire);
+    ASSERT_EQ(outcome.status, ServiceStatus::kOk) << outcome.message;
+    ASSERT_GT(session.pending_reports(), 0u) << pin.file;
+    const std::string blob = snapshot_session(session, 1u << 20);
+    EXPECT_EQ(blob.size(), pin.length)
+        << pin.file << " engine " << static_cast<int>(pin.engine);
+    EXPECT_EQ(crc32c(blob.data(), blob.size()), pin.crc)
+        << pin.file << " engine " << static_cast<int>(pin.engine);
+  }
 }
 
 // The central property: snapshot at EVERY feed-chunk boundary, restore into
