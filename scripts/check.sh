@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Correctness gate: the tier-1 build + test cycle, a compile-only build of
-# the e2ebench package (race2dd + e2eload), a 30-second fixed-seed
+# the e2ebench package (race2dd + e2eload) plus a 3-second spill_churn run
+# of it that must come back correct, a 30-second fixed-seed
 # differential fuzz smoke (race2d_fuzz cross-checks every detector on
 # seeded random programs; any mismatch fails the gate), an ASan+UBSan
 # build of the FULL test suite (the verify layer intentionally feeds
@@ -33,6 +34,25 @@ echo "== e2ebench: compile the end-to-end benchmark package"
 # benchmark before the benchmark pipeline runs it.
 cmake -S e2ebench -B build-e2e -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-e2e -j "$(nproc)" --target race2dd e2eload
+
+echo "== e2ebench: 3-second spill_churn run through the socket daemon"
+# The cold tier under real load: a race2dd whose budget holds an eighth of
+# the live sessions, so most FEEDs rehydrate one spilled session and spill
+# another. Every reply, every drained report stream (bit for bit against
+# the offline detector) and the STATS totals are checked; the result line
+# must say "correct": true.
+e2e_rc=0
+e2e_out=$(python3 e2ebench/run.py --workload spill_churn --seed 1 \
+  --seconds 3 --trace 0 2>/tmp/race2d_e2e_spill.log) || e2e_rc=$?
+if ! printf '%s\n' "$e2e_out" | tail -n 1 | python3 -c \
+    'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)' \
+    || [[ "$e2e_rc" != "0" ]]; then
+  echo "check.sh: e2ebench spill_churn run failed (exit $e2e_rc)"
+  printf '%s\n' "$e2e_out" | tail -n 5
+  tail -n 20 /tmp/race2d_e2e_spill.log
+  exit 1
+fi
+echo "e2ebench spill_churn: correct"
 
 echo "== smoke fuzz: 30-second differential campaign (fixed seed)"
 # Every trace runs the full detector panel (serial, DePa label backend,

@@ -31,6 +31,10 @@ inline constexpr std::uint64_t kMaxBlobBytes = 1ull << 30;
 /// Deterministic: same input, same output, every build.
 std::string blob_compress(const std::string& raw);
 
-std::optional<std::string> blob_decompress(const std::string& blob);
+/// Decodes the `size` bytes at `blob`, which may point into a larger buffer
+/// (the spill tier passes its file buffer past the header), so no copy of
+/// the compressed bytes is made.
+std::optional<std::string> blob_decompress(const char* blob,
+                                           std::size_t size);
 
 }  // namespace race2d

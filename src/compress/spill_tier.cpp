@@ -1,9 +1,15 @@
 #include "compress/spill_tier.hpp"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <memory>
 #include <utility>
 
 #include "compress/blob_codec.hpp"
@@ -17,9 +23,9 @@ constexpr char kSpillMagic[8] = {'R', '2', 'D', 'S', 'P', 'I', 'L', 'L'};
 constexpr std::uint8_t kSpillVersion = 1;
 constexpr std::size_t kSpillHeaderBytes = 8 + 1 + 4 + 4 + 4;
 
-void put_u32le(std::string& out, std::uint32_t v) {
+void put_u32le(unsigned char* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
 }
 
 std::uint32_t get_u32le(const unsigned char* p) {
@@ -30,20 +36,89 @@ std::uint32_t get_u32le(const unsigned char* p) {
 }
 
 std::string k_error(const char* code, std::uint32_t id, const char* what) {
-  std::ostringstream os;
-  os << code << " spill of session " << id << ": " << what;
-  return os.str();
+  return std::string(code) + " spill of session " + std::to_string(id) +
+         ": " + what;
+}
+
+/// Writes every byte of `parts` to `fd`, retrying short writes and EINTR.
+bool write_all(int fd, iovec* parts, int count) {
+  while (count > 0) {
+    const ssize_t wrote = ::writev(fd, parts, count);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (wrote == 0) return false;
+    auto left = static_cast<std::size_t>(wrote);
+    while (count > 0 && left >= parts->iov_len) {
+      left -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count > 0) {
+      parts->iov_base = static_cast<char*>(parts->iov_base) + left;
+      parts->iov_len -= left;
+    }
+  }
+  return true;
+}
+
+/// Reads up to `size` bytes into `out`, retrying short reads and EINTR;
+/// returns the count read (short only at end of file), or -1 on error.
+ssize_t read_all(int fd, unsigned char* out, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, out + got, size - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return static_cast<ssize_t>(got);
+}
+
+/// True for the names the tier itself writes: `sess-<id>.spill` and
+/// `sess-<id>.spill.tmp`, with <id> a u32 in canonical decimal.
+bool is_spill_name(const char* name) {
+  constexpr char kPrefix[] = "sess-";
+  if (std::strncmp(name, kPrefix, sizeof(kPrefix) - 1) != 0) return false;
+  const char* digits = name + sizeof(kPrefix) - 1;
+  const char* end = digits;
+  std::uint64_t id = 0;
+  while (*end >= '0' && *end <= '9' && end - digits <= 10) {
+    id = id * 10 + static_cast<std::uint64_t>(*end - '0');
+    ++end;
+  }
+  const std::size_t len = static_cast<std::size_t>(end - digits);
+  if (len == 0 || len > 10 || id > UINT32_MAX) return false;
+  if (len > 1 && *digits == '0') return false;
+  return std::strcmp(end, ".spill") == 0 || std::strcmp(end, ".spill.tmp") == 0;
 }
 
 }  // namespace
 
 SpillTier::SpillTier(std::string dir, std::uint64_t budget_bytes)
-    : dir_(std::move(dir)), budget_(budget_bytes) {}
+    : dir_(std::move(dir)), prefix_(dir_ + "/sess-"), budget_(budget_bytes) {
+  sweep_stale_files();
+}
+
+void SpillTier::sweep_stale_files() const {
+  DIR* d = ::opendir(dir_.c_str());
+  if (d == nullptr) return;  // not there yet: nothing stale either
+  while (const dirent* e = ::readdir(d)) {
+    if (!is_spill_name(e->d_name)) continue;
+    struct stat st;
+    if (::fstatat(::dirfd(d), e->d_name, &st, AT_SYMLINK_NOFOLLOW) == 0 &&
+        S_ISREG(st.st_mode))
+      ::unlinkat(::dirfd(d), e->d_name, 0);
+  }
+  ::closedir(d);
+}
 
 std::string SpillTier::path_for(std::uint32_t id) const {
-  std::ostringstream os;
-  os << dir_ << "/sess-" << id << ".spill";
-  return os.str();
+  return prefix_ + std::to_string(id) + ".spill";
 }
 
 void SpillTier::drop_entry(std::uint32_t id) {
@@ -52,7 +127,7 @@ void SpillTier::drop_entry(std::uint32_t id) {
   bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru);
   index_.erase(it);
-  std::remove(path_for(id).c_str());
+  ::unlink(path_for(id).c_str());
 }
 
 SpillTier::StoreResult SpillTier::store(std::uint32_t id,
@@ -60,40 +135,39 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
   StoreResult result;
   drop_entry(id);  // re-spill of the same id replaces the old file
 
-  std::string file(kSpillMagic, sizeof(kSpillMagic));
-  file.push_back(static_cast<char>(kSpillVersion));
-  put_u32le(file, id);
   const std::string payload = blob_compress(blob);
-  put_u32le(file, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(file, crc32c(payload.data(), payload.size()));
-  file += payload;
+  unsigned char header[kSpillHeaderBytes];
+  std::memcpy(header, kSpillMagic, sizeof(kSpillMagic));
+  header[8] = kSpillVersion;
+  put_u32le(header + 9, id);
+  put_u32le(header + 13, static_cast<std::uint32_t>(payload.size()));
+  put_u32le(header + 17, crc32c(payload.data(), payload.size()));
+  const std::uint64_t file_bytes = kSpillHeaderBytes + payload.size();
 
-  if (file.size() > budget_) return result;  // would never fit
+  if (file_bytes > budget_) return result;  // would never fit
   // Pick the LRU victims now, but drop them only once the new file is in
   // place: a failed write must leave every victim loadable.
   std::vector<std::uint32_t> victims;
   std::uint64_t kept = bytes_;
-  for (auto it = lru_.begin(); kept + file.size() > budget_ && it != lru_.end();
+  for (auto it = lru_.begin(); kept + file_bytes > budget_ && it != lru_.end();
        ++it) {
     victims.push_back(*it);
     kept -= index_.at(*it).bytes;
   }
 
-  // tmp + rename: a crash mid-write leaves no torn `.spill` entry.
+  // tmp + rename: a crash mid-write leaves no torn `.spill` entry. No
+  // fsync: the index lives in this process, so nothing spilled outlives it.
   const std::string path = path_for(id);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return result;
-    os.write(file.data(), static_cast<std::streamsize>(file.size()));
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      return result;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return result;
+  iovec parts[2] = {{header, kSpillHeaderBytes},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  const bool wrote = write_all(fd, parts, 2);
+  if (::close(fd) != 0 || !wrote ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
     return result;
   }
 
@@ -102,7 +176,7 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
   lru_.push_back(id);
   Entry e;
   e.lru = std::prev(lru_.end());
-  e.bytes = file.size();
+  e.bytes = file_bytes;
   bytes_ += e.bytes;
   index_.emplace(id, e);
   result.stored = true;
@@ -116,15 +190,17 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
     if (error) *error = k_error("K009", id, "no spill entry for this session");
     return std::nullopt;
   }
-  const std::string path = path_for(id);
-  std::string file;
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (is) {
-      std::ostringstream buf;
-      buf << is.rdbuf();
-      file = buf.str();
-    }
+  // The whole file in one buffer. Reading at most one byte more than the
+  // tier wrote bounds the buffer whatever now sits at the path; a longer,
+  // shorter or missing file fails the length checks below.
+  const std::size_t capacity = static_cast<std::size_t>(it->second.bytes) + 1;
+  const std::unique_ptr<unsigned char[]> file(new unsigned char[capacity]);
+  std::size_t file_size = 0;
+  const int fd = ::open(path_for(id).c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd >= 0) {
+    const ssize_t got = read_all(fd, file.get(), capacity);
+    file_size = got < 0 ? 0 : static_cast<std::size_t>(got);
+    ::close(fd);
   }
   drop_entry(id);  // success or corrupt, the entry is consumed
 
@@ -133,9 +209,9 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
     if (error) *error = k_error(code, id, what);
     return std::nullopt;
   };
-  if (file.size() < kSpillHeaderBytes)
+  if (file_size < kSpillHeaderBytes)
     return reject("K009", "spill file missing or truncated before its header");
-  const auto* p = reinterpret_cast<const unsigned char*>(file.data());
+  const unsigned char* p = file.get();
   if (std::memcmp(p, kSpillMagic, sizeof(kSpillMagic)) != 0)
     return reject("K009", "spill file magic mismatch");
   if (p[8] != kSpillVersion) return reject("K009", "spill file version mismatch");
@@ -143,13 +219,12 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
     return reject("K009", "spill file names a different session");
   const std::uint32_t payload_len = get_u32le(p + 13);
   const std::uint32_t crc = get_u32le(p + 17);
-  if (file.size() != kSpillHeaderBytes + payload_len)
+  if (file_size != kSpillHeaderBytes + payload_len)
     return reject("K009", "spill file length disagrees with its header");
-  const char* payload = file.data() + kSpillHeaderBytes;
+  const auto* payload = reinterpret_cast<const char*>(p + kSpillHeaderBytes);
   if (crc32c(payload, payload_len) != crc)
     return reject("K010", "spill payload fails its CRC32C");
-  std::optional<std::string> blob =
-      blob_decompress(std::string(payload, payload_len));
+  std::optional<std::string> blob = blob_decompress(payload, payload_len);
   if (!blob) return reject("K010", "spill payload fails to decompress");
   return blob;
 }

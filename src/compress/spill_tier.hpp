@@ -12,11 +12,16 @@
 //   file := "R2DSPILL" version:u8=1 session_id:u32 payload_len:u32
 //           crc:u32(payload, CRC32C) payload = blob_compress(snapshot blob)
 //
-// Files are written tmp-then-rename so a crash mid-spill leaves no torn
-// entry. The tier trusts only its in-memory index — it never scans the
-// directory (shards share one directory; session ids are disjoint across
-// shards, so files never collide). Leftover files from a previous process
-// are inert and get overwritten.
+// Files are written tmp-then-rename with plain POSIX calls (open, writev,
+// close, rename; open, read on the way back), and never fsynced:
+// the tier trusts only its in-memory index, so nothing it spilled can be
+// loaded by a later process anyway. A spill directory therefore belongs to
+// one daemon. Shards share it (session ids are disjoint across shards, so
+// files never collide), and the constructor deletes the regular files
+// named `sess-<id>.spill` or `sess-<id>.spill.tmp` that an earlier process
+// left behind, since they would sit outside the budget forever. Every other
+// name, and every directory, is left alone. Because of that sweep, all
+// tiers over one directory must be built before any of them stores.
 //
 // Corrupt spill files are K-coded like snapshot blobs: K009 for structural
 // damage (missing file, bad magic/version/id, truncation), K010 for payload
@@ -39,8 +44,9 @@ namespace race2d {
 
 class SpillTier {
  public:
-  /// `dir` must exist (the server creates it at startup); `budget_bytes`
-  /// bounds the total COMPRESSED bytes resident on disk.
+  /// `dir` should exist (the server creates it at startup); `budget_bytes`
+  /// bounds the total COMPRESSED bytes resident on disk. Deletes the stale
+  /// spill files an earlier process left in `dir`.
   SpillTier(std::string dir, std::uint64_t budget_bytes);
 
   struct StoreResult {
@@ -72,8 +78,10 @@ class SpillTier {
   };
   std::string path_for(std::uint32_t id) const;
   void drop_entry(std::uint32_t id);
+  void sweep_stale_files() const;
 
   std::string dir_;
+  std::string prefix_;  ///< "<dir>/sess-"
   std::uint64_t budget_;
   std::uint64_t bytes_ = 0;
   std::list<std::uint32_t> lru_;  ///< front = least recently spilled

@@ -29,6 +29,15 @@ void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.fetch_add(by, std::memory_order_relaxed);
 }
 
+/// Adds the nanoseconds since `start` to `total`.
+void add_elapsed(std::atomic<std::uint64_t>& total,
+                 std::chrono::steady_clock::time_point start) {
+  bump(total, static_cast<std::uint64_t>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count()));
+}
+
 }  // namespace
 
 DetectionService::DetectionService(ServiceLimits limits)
@@ -155,8 +164,10 @@ void DetectionService::sync_spill_metrics() {
 
 bool DetectionService::try_spill(std::uint32_t id, Slot& slot) {
   if (!spill_ || slot.session->poisoned()) return false;
+  const auto start = std::chrono::steady_clock::now();
   const std::string blob = snapshot_session(*slot.session, slot.quota_bytes);
   SpillTier::StoreResult stored = spill_->store(id, blob);
+  add_elapsed(spill_ns_, start);
   // LRU victims dropped from disk are gone for real — tombstone them so
   // their clients learn the fate instead of kUnknownSession.
   for (const std::uint32_t victim : stored.dropped) {
@@ -172,21 +183,22 @@ bool DetectionService::try_spill(std::uint32_t id, Slot& slot) {
 DetectionService::Slot* DetectionService::rehydrate(std::uint32_t id,
                                                     Verb verb,
                                                     Response& failure) {
+  const auto start = std::chrono::steady_clock::now();
   std::string error;
   std::optional<std::string> blob = spill_->load(id, &error);
   sync_spill_metrics();
-  if (blob) {
-    RestoreOutcome outcome = restore_session(*blob);
-    if (outcome.session) {
-      const std::size_t quota = static_cast<std::size_t>(
-          std::min<std::uint64_t>(outcome.quota_bytes,
-                                  limits_.session_quota_bytes));
-      Slot* slot = install_at(id, std::move(outcome.session), quota);
-      bump(rehydrations_);
-      return slot;
-    }
-    error = std::move(outcome.error);
+  RestoreOutcome outcome;
+  if (blob) outcome = restore_session(*blob);
+  add_elapsed(rehydrate_ns_, start);
+  if (outcome.session) {
+    const std::size_t quota = static_cast<std::size_t>(
+        std::min<std::uint64_t>(outcome.quota_bytes,
+                                limits_.session_quota_bytes));
+    Slot* slot = install_at(id, std::move(outcome.session), quota);
+    bump(rehydrations_);
+    return slot;
   }
+  if (blob) error = std::move(outcome.error);
   // A corrupt spill is consumed, never retried: tombstone with the K-coded
   // reason so later verbs answer deterministically.
   note_reject(ServiceStatus::kSnapshotReject);
@@ -446,6 +458,8 @@ std::string DetectionService::metrics_json() const {
      << ",\"spill_drops\":" << spill_drops_.load(std::memory_order_relaxed)
      << ",\"spilled_sessions\":" << spilled_sessions()
      << ",\"spill_bytes\":" << spill_bytes()
+     << ",\"spill_ns\":" << spill_ns()
+     << ",\"rehydrate_ns\":" << rehydrate_ns()
      << "}";
   return os.str();
 }

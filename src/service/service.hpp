@@ -113,6 +113,14 @@ class DetectionService {
   std::uint64_t rehydrations() const {
     return rehydrations_.load(std::memory_order_relaxed);
   }
+  /// Wall time spent in the cold tier: snapshot + compress + write per
+  /// spill, read + decompress + restore per rehydration.
+  std::uint64_t spill_ns() const {
+    return spill_ns_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t rehydrate_ns() const {
+    return rehydrate_ns_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Slot {
@@ -186,6 +194,8 @@ class DetectionService {
   std::atomic<std::uint64_t> spills_{0};
   std::atomic<std::uint64_t> rehydrations_{0};
   std::atomic<std::uint64_t> spill_drops_{0};
+  std::atomic<std::uint64_t> spill_ns_{0};
+  std::atomic<std::uint64_t> rehydrate_ns_{0};
   std::atomic<std::size_t> live_sessions_{0};
   std::atomic<std::size_t> resident_bytes_{0};
   /// Mirrors of the tier's gauges (the tier itself is single-threaded).

@@ -1,5 +1,7 @@
 #include "service/snapshot.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -27,28 +29,103 @@ struct SnapshotReject {
   throw SnapshotReject{std::string(code) + ": " + what};
 }
 
-// ---------------------------------------------------------------- writer --
+// ------------------------------------------------------------ byte order --
+//
+// Every multi-byte field is little-endian. On little-endian hosts a word
+// is one memcpy; the shift loops keep big-endian hosts byte-identical.
 
+template <typename T>
+void store_le(unsigned char* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      p[i] = static_cast<unsigned char>(v >> (8 * i));
+  }
+}
+
+template <typename T>
+T load_le(const unsigned char* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v |= static_cast<T>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+// --------------------------------------------------------------- writers --
+//
+// Every put_* is written once against a writer type W and run twice: over a
+// Sizer, which only adds up the bytes, and then over a Writer into a buffer
+// of exactly that size.
+
+struct Sizer {
+  std::size_t size = 0;
+
+  void u8(std::uint8_t) { size += 1; }
+  void u32(std::uint32_t) { size += 4; }
+  void u64(std::uint64_t) { size += 8; }
+  template <typename T>
+  void words(const T*, std::size_t n) {
+    size += sizeof(T) * n;
+  }
+  void bytes(const void*, std::size_t n) { size += n; }
+};
+
+/// Unchecked cursor over a buffer the Sizer measured.
 struct Writer {
-  std::string out;
+  unsigned char* p;
 
-  void u8(std::uint8_t v) { out.push_back(static_cast<char>(v)); }
+  void u8(std::uint8_t v) { *p++ = v; }
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    store_le(p, v);
+    p += 4;
   }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    store_le(p, v);
+    p += 8;
   }
-  void bytes(const void* data, std::size_t size) {
-    out.append(static_cast<const char*>(data), size);
+  /// An array of little-endian words: one memcpy on little-endian hosts.
+  template <typename T>
+  void words(const T* v, std::size_t n) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(v, sizeof(T) * n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i, p += sizeof(T)) store_le(p, v[i]);
+    }
+  }
+  void bytes(const void* data, std::size_t n) {
+    if (n != 0) std::memcpy(p, data, n);
+    p += n;
   }
 };
 
-// ---------------------------------------------------------------- reader --
+// --------------------------------------------------------------- readers --
 
-/// Bounds-checked little-endian reader; every underrun is a K005.
+/// Unchecked little-endian cursor over bytes a Reader has already
+/// bounds-checked (Reader::take).
+struct Cursor {
+  const unsigned char* p;
+
+  std::uint8_t u8() { return *p++; }
+  std::uint32_t u32() {
+    const auto v = load_le<std::uint32_t>(p);
+    p += 4;
+    return v;
+  }
+  std::uint64_t u64() {
+    const auto v = load_le<std::uint64_t>(p);
+    p += 8;
+    return v;
+  }
+};
+
+/// Bounds-checked little-endian reader; every underrun is a K005. Arrays
+/// of fixed-size elements are checked once with take() and read through
+/// the returned Cursor.
 struct Reader {
   const unsigned char* p;
   std::size_t size;
@@ -62,28 +139,16 @@ struct Reader {
   void need(std::size_t n) {
     if (remaining() < n) reject("K005", "payload structure truncated");
   }
-  std::uint8_t u8() {
-    need(1);
-    return p[pos++];
+  /// Claims the next `n` bytes.
+  Cursor take(std::size_t n) {
+    need(n);
+    const Cursor c{p + pos};
+    pos += n;
+    return c;
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos += 8;
-    return v;
-  }
+  std::uint8_t u8() { return take(1).u8(); }
+  std::uint32_t u32() { return take(4).u32(); }
+  std::uint64_t u64() { return take(8).u64(); }
   /// An element count followed by `min_elem_bytes`-sized elements cannot
   /// exceed the bytes left — checked BEFORE any reserve so a hostile count
   /// cannot force a huge allocation.
@@ -97,7 +162,10 @@ struct Reader {
 
 // ------------------------------------------------------- report sections --
 
-void put_report(Writer& w, const RaceReport& r) {
+constexpr std::size_t kReportBytes = 22;
+
+template <typename W>
+void put_report(W& w, const RaceReport& r) {
   w.u64(r.loc);
   w.u32(r.current_task);
   w.u8(static_cast<std::uint8_t>(r.current_kind));
@@ -105,7 +173,8 @@ void put_report(Writer& w, const RaceReport& r) {
   w.u64(static_cast<std::uint64_t>(r.access_index));
 }
 
-RaceReport get_report(Reader& r) {
+template <typename R>
+RaceReport get_report(R& r) {
   RaceReport out;
   out.loc = r.u64();
   out.current_task = r.u32();
@@ -120,22 +189,24 @@ RaceReport get_report(Reader& r) {
   return out;
 }
 
-void put_reports(Writer& w, const std::vector<RaceReport>& reports) {
+template <typename W>
+void put_reports(W& w, const std::vector<RaceReport>& reports) {
   w.u64(reports.size());
   for (const RaceReport& r : reports) put_report(w, r);
 }
 
 std::vector<RaceReport> get_reports(Reader& r) {
-  const std::size_t n = r.count(22);
-  std::vector<RaceReport> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(get_report(r));
+  const std::size_t n = r.count(kReportBytes);
+  std::vector<RaceReport> out(n);
+  Cursor in = r.take(n * kReportBytes);
+  for (RaceReport& report : out) report = get_report(in);
   return out;
 }
 
 // ------------------------------------------------------- decoder section --
 
-void put_decoder(Writer& w, const BinaryTraceDecoder::Snapshot& d) {
+template <typename W>
+void put_decoder(W& w, const BinaryTraceDecoder::Snapshot& d) {
   w.u8(d.state);
   w.u8(d.version);
   w.u8(d.compressed ? 1 : 0);
@@ -168,9 +239,8 @@ BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
   d.offset = r.u64();
   d.events_decoded = r.u64();
   const std::size_t n = r.count(1);
-  r.need(n);
-  d.buffer.assign(r.p + r.pos, r.p + r.pos + n);
-  r.pos += n;
+  const Cursor bytes = r.take(n);
+  d.buffer.assign(bytes.p, bytes.p + n);
   if (d.need != 0 && d.buffer.size() > d.need)
     reject("K007", "decoder buffer larger than the frame it is collecting");
   return d;
@@ -178,7 +248,8 @@ BinaryTraceDecoder::Snapshot get_decoder(Reader& r) {
 
 // ---------------------------------------------------------- lint section --
 
-void put_lint(Writer& w, const TraceLintStream::Snapshot& l) {
+template <typename W>
+void put_lint(W& w, const TraceLintStream::Snapshot& l) {
   w.u64(l.index);
   w.u8(l.finished ? 1 : 0);
   w.u64(l.warnings_emitted);
@@ -192,7 +263,7 @@ void put_lint(Writer& w, const TraceLintStream::Snapshot& l) {
     w.u8(t.joined ? 1 : 0);
   }
   w.u64(l.stack.size());
-  for (TaskId t : l.stack) w.u32(t);
+  w.words(l.stack.data(), l.stack.size());
   w.u64(l.locs.size());
   for (const auto& [loc, mask] : l.locs) {
     w.u64(loc);
@@ -221,42 +292,45 @@ TraceLintStream::Snapshot get_lint(Reader& r) {
   const auto valid_task = [tasks](TaskId t) {
     return t == kInvalidTask || t < tasks;
   };
+  Cursor in = r.take(tasks * 14);
   for (TraceLintStream::TaskState& t : l.tasks) {
-    t.left = r.u32();
-    t.right = r.u32();
-    t.finish_depth = r.u32();
-    t.halted = r.u8() != 0;
-    t.joined = r.u8() != 0;
+    t.left = in.u32();
+    t.right = in.u32();
+    t.finish_depth = in.u32();
+    t.halted = in.u8() != 0;
+    t.joined = in.u8() != 0;
     if (!valid_task(t.left) || !valid_task(t.right))
       reject("K007", "lint task neighbor names a missing task");
   }
   const std::size_t stack = r.count(4);
-  l.stack.reserve(stack);
-  for (std::size_t i = 0; i < stack; ++i) {
-    const TaskId t = r.u32();
+  l.stack.resize(stack);
+  in = r.take(stack * 4);
+  for (TaskId& t : l.stack) {
+    t = in.u32();
     if (t >= tasks) reject("K007", "lint stack names a missing task");
-    l.stack.push_back(t);
   }
   const std::size_t locs = r.count(9);
-  l.locs.reserve(locs);
-  for (std::size_t i = 0; i < locs; ++i) {
-    const Loc loc = r.u64();
-    l.locs.emplace_back(loc, r.u8());
+  l.locs.resize(locs);
+  in = r.take(locs * 9);
+  for (auto& [loc, mask] : l.locs) {
+    loc = in.u64();
+    mask = in.u8();
   }
   const std::size_t mutexes = r.count(12);
-  l.mutexes.reserve(mutexes);
-  for (std::size_t i = 0; i < mutexes; ++i) {
-    const Loc id = r.u64();
-    const TaskId holder = r.u32();
+  l.mutexes.resize(mutexes);
+  in = r.take(mutexes * 12);
+  for (auto& [id, holder] : l.mutexes) {
+    id = in.u64();
+    holder = in.u32();
     if (holder != kInvalidTask && holder >= tasks)
       reject("K007", "lint mutex holder names a missing task");
-    l.mutexes.emplace_back(id, holder);
   }
   const std::size_t semaphores = r.count(16);
-  l.semaphores.reserve(semaphores);
-  for (std::size_t i = 0; i < semaphores; ++i) {
-    const Loc id = r.u64();
-    l.semaphores.emplace_back(id, r.u64());
+  l.semaphores.resize(semaphores);
+  in = r.take(semaphores * 16);
+  for (auto& [id, count] : l.semaphores) {
+    id = in.u64();
+    count = in.u64();
   }
   return l;
 }
@@ -276,44 +350,53 @@ struct EngineCodec;
 /// summary is a u32 vertex id, the stamp the u64 version it was cached at.
 template <>
 struct EngineCodec<DsuClock> {
+  /// The cell-count bound, looser than a whole cell (kCellBytes); a count
+  /// between the two fails as a truncation after the cells that fit.
   static constexpr std::size_t kMinCellBytes = 24;
+  static constexpr std::size_t kCellBytes = 28;
 
-  static void put_clock(Writer& w, const DsuClock::State& s) {
-    w.u64(s.dsu.parent.size());
-    for (std::uint32_t v : s.dsu.parent) w.u32(v);
+  template <typename W>
+  static void put_clock(W& w, const DsuClock::State& s) {
+    const std::size_t n = s.dsu.parent.size();
+    w.u64(n);
+    w.words(s.dsu.parent.data(), n);
     w.bytes(s.dsu.rank.data(), s.dsu.rank.size());
-    for (std::uint32_t v : s.dsu.label) w.u32(v);
+    w.words(s.dsu.label.data(), s.dsu.label.size());
     w.bytes(s.dsu.visited.data(), s.dsu.visited.size());
     w.u64(s.version);
+  }
+  /// `what` names the array in the K007 message.
+  static void get_vertices(Reader& r, std::size_t n,
+                           std::vector<std::uint32_t>& out, const char* what) {
+    out.resize(n);
+    Cursor in = r.take(4 * n);
+    for (std::uint32_t& v : out) {
+      v = in.u32();
+      if (v >= n) reject("K007", what);
+    }
   }
   static DsuClock::State get_clock(Reader& r) {
     DsuClock::State s;
     const std::size_t n = r.count(10);  // 4+1+4+1 bytes per vertex
-    s.dsu.parent.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t v = r.u32();
-      if (v >= n) reject("K007", "DSU parent names a missing vertex");
-      s.dsu.parent.push_back(v);
-    }
-    r.need(n);
-    s.dsu.rank.assign(r.p + r.pos, r.p + r.pos + n);
-    r.pos += n;
-    s.dsu.label.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t v = r.u32();
-      if (v >= n) reject("K007", "DSU label names a missing vertex");
-      s.dsu.label.push_back(v);
-    }
-    r.need(n);
-    s.dsu.visited.assign(r.p + r.pos, r.p + r.pos + n);
-    r.pos += n;
+    get_vertices(r, n, s.dsu.parent, "DSU parent names a missing vertex");
+    Cursor in = r.take(n);
+    s.dsu.rank.assign(in.p, in.p + n);
+    get_vertices(r, n, s.dsu.label, "DSU label names a missing vertex");
+    in = r.take(n);
+    s.dsu.visited.assign(in.p, in.p + n);
     s.version = r.u64();
     return s;
   }
-  static void put_summary(Writer& w, VertexId v) { w.u32(v); }
-  static VertexId get_summary(Reader& r) { return r.u32(); }
-  static void put_stamp(Writer& w, std::uint64_t version) { w.u64(version); }
-  static std::uint64_t get_stamp(Reader& r) { return r.u64(); }
+  template <typename W>
+  static void put_summary(W& w, VertexId v) {
+    w.u32(v);
+  }
+  static VertexId get_summary(Cursor& r) { return r.u32(); }
+  template <typename W>
+  static void put_stamp(W& w, std::uint64_t version) {
+    w.u64(version);
+  }
+  static std::uint64_t get_stamp(Cursor& r) { return r.u64(); }
 
   template <typename CellState>
   static void check_cell(const DsuClock::State& s, const CellState& c) {
@@ -332,8 +415,10 @@ struct EngineCodec<DsuClock> {
 template <>
 struct EngineCodec<DePaClock> {
   static constexpr std::size_t kMinCellBytes = 44;
+  static constexpr std::size_t kCellBytes = 44;
 
-  static void put_clock(Writer& w, const DePaClock::State& s) {
+  template <typename W>
+  static void put_clock(W& w, const DePaClock::State& s) {
     w.u64(s.intervals.size());
     for (const OmClock::IntervalState& iv : s.intervals) {
       w.u32(iv.e_rank);
@@ -341,34 +426,33 @@ struct EngineCodec<DePaClock> {
       w.u32(iv.task);
     }
     w.u64(s.cur.size());
-    for (std::uint64_t idx : s.cur) w.u64(idx);
+    w.words(s.cur.data(), s.cur.size());
   }
   static DePaClock::State get_clock(Reader& r) {
     DePaClock::State s;
     const std::size_t intervals = r.count(12);  // e_rank, h_rank, task
-    s.intervals.reserve(intervals);
+    s.intervals.resize(intervals);
     // Each list's ranks must be a permutation of [0, intervals): restore
     // relinks the lists in rank order.
-    std::vector<bool> e_seen(intervals, false);
-    std::vector<bool> h_seen(intervals, false);
-    for (std::size_t i = 0; i < intervals; ++i) {
-      OmClock::IntervalState iv;
-      iv.e_rank = r.u32();
-      iv.h_rank = r.u32();
-      iv.task = r.u32();
-      if (iv.e_rank >= intervals || e_seen[iv.e_rank] ||
-          iv.h_rank >= intervals || h_seen[iv.h_rank])
+    std::vector<std::uint8_t> e_seen(intervals, 0);
+    std::vector<std::uint8_t> h_seen(intervals, 0);
+    Cursor in = r.take(12 * intervals);
+    for (OmClock::IntervalState& iv : s.intervals) {
+      iv.e_rank = in.u32();
+      iv.h_rank = in.u32();
+      iv.task = in.u32();
+      if (iv.e_rank >= intervals || e_seen[iv.e_rank] != 0 ||
+          iv.h_rank >= intervals || h_seen[iv.h_rank] != 0)
         reject("K006", "interval list ranks are not a permutation");
-      e_seen[iv.e_rank] = h_seen[iv.h_rank] = true;
-      s.intervals.push_back(iv);
+      e_seen[iv.e_rank] = h_seen[iv.h_rank] = 1;
     }
     const std::size_t tasks = r.count(8);
-    s.cur.reserve(tasks);
-    for (std::size_t i = 0; i < tasks; ++i) {
-      const std::uint64_t idx = r.u64();
+    s.cur.resize(tasks);
+    in = r.take(8 * tasks);
+    for (std::uint64_t& idx : s.cur) {
+      idx = in.u64();
       if (idx >= intervals)
         reject("K007", "task interval index names a missing interval");
-      s.cur.push_back(idx);
     }
     for (const OmClock::IntervalState& iv : s.intervals) {
       if (iv.task != kInvalidTask && iv.task >= tasks)
@@ -376,18 +460,20 @@ struct EngineCodec<DePaClock> {
     }
     return s;
   }
-  static void put_summary(Writer& w, const DePaClock::SummaryImage& m) {
+  template <typename W>
+  static void put_summary(W& w, const DePaClock::SummaryImage& m) {
     w.u64(m.e);
     w.u64(m.h);
   }
-  static DePaClock::SummaryImage get_summary(Reader& r) {
+  static DePaClock::SummaryImage get_summary(Cursor& r) {
     DePaClock::SummaryImage m;
     m.e = r.u64();
     m.h = r.u64();
     return m;
   }
-  static void put_stamp(Writer&, NoStamp) {}
-  static NoStamp get_stamp(Reader&) { return {}; }
+  template <typename W>
+  static void put_stamp(W&, NoStamp) {}
+  static NoStamp get_stamp(Cursor&) { return {}; }
 
   template <typename CellState>
   static void check_cell(const DePaClock::State& s, const CellState& c) {
@@ -410,8 +496,8 @@ struct EngineCodec<DePaClock> {
   }
 };
 
-template <typename Clock>
-void put_detector(Writer& w, const typename RaceDetector<Clock>::State& s) {
+template <typename Clock, typename W>
+void put_detector(W& w, const typename RaceDetector<Clock>::State& s) {
   using Codec = EngineCodec<Clock>;
   Codec::put_clock(w, s.clock);
   w.u64(s.cells.size());
@@ -434,17 +520,21 @@ typename RaceDetector<Clock>::State get_detector(Reader& r) {
   typename RaceDetector<Clock>::State s;
   s.clock = Codec::get_clock(r);
   const std::size_t cells = r.count(Codec::kMinCellBytes);
-  s.cells.reserve(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    typename RaceDetector<Clock>::CellState c;
-    c.loc = r.u64();
-    c.read = Codec::get_summary(r);
-    c.write = Codec::get_summary(r);
-    c.owner = r.u32();
-    c.stamp = Codec::get_stamp(r);
+  s.cells.resize(cells);
+  // The cells that fit whole are read unchecked. A count the payload
+  // cannot hold fails after them, where a field-by-field read would.
+  const std::size_t whole = std::min(cells, r.remaining() / Codec::kCellBytes);
+  Cursor in = r.take(whole * Codec::kCellBytes);
+  for (std::size_t i = 0; i < whole; ++i) {
+    auto& c = s.cells[i];
+    c.loc = in.u64();
+    c.read = Codec::get_summary(in);
+    c.write = Codec::get_summary(in);
+    c.owner = in.u32();
+    c.stamp = Codec::get_stamp(in);
     Codec::check_cell(s.clock, c);
-    s.cells.push_back(c);
   }
+  if (whole < cells) reject("K005", "payload structure truncated");
   s.undrained = get_reports(r);
   s.first = get_report(r);
   s.reports_total = r.u64();
@@ -462,17 +552,31 @@ Reader open_payload(const std::string& blob) {
     reject("K002", "bad magic or unsupported snapshot version");
   const unsigned char* p =
       reinterpret_cast<const unsigned char*>(blob.data()) + sizeof(kMagic);
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    crc |= static_cast<std::uint32_t>(p[4 + i]) << (8 * i);
-  }
+  const auto len = load_le<std::uint32_t>(p);
+  const auto crc = load_le<std::uint32_t>(p + 4);
   if (blob.size() != kHeaderBytes + static_cast<std::size_t>(len))
     reject("K003", "payload length disagrees with the blob size");
   const char* payload = blob.data() + kHeaderBytes;
   if (crc32c(payload, len) != crc) reject("K004", "payload CRC32C mismatch");
   return Reader(payload, len);
+}
+
+template <typename W>
+void put_payload(W& w, const DetectionSession::State& s,
+                 std::size_t quota_bytes) {
+  w.u64(s.fed_bytes);
+  w.u8(static_cast<std::uint8_t>(s.policy));
+  w.u8(static_cast<std::uint8_t>(s.engine));
+  w.u64(static_cast<std::uint64_t>(quota_bytes));
+  w.u64(s.max_pending_reports);
+  w.u64(s.events_total);
+  put_decoder(w, s.decoder);
+  put_lint(w, s.lint);
+  if (s.engine == DetectorEngine::kDsu)
+    put_detector<DsuClock>(w, s.dsu);
+  else
+    put_detector<DePaClock>(w, s.depa);
+  put_reports(w, s.pending);
 }
 
 DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
@@ -506,30 +610,18 @@ DetectionSession::State decode_payload(Reader& r, std::uint64_t& quota_bytes) {
 
 std::string snapshot_session(const DetectionSession& session,
                              std::size_t quota_bytes) {
-  DetectionSession::State s = session.export_state();
-  Writer w;
-  w.u64(s.fed_bytes);
-  w.u8(static_cast<std::uint8_t>(s.policy));
-  w.u8(static_cast<std::uint8_t>(s.engine));
-  w.u64(static_cast<std::uint64_t>(quota_bytes));
-  w.u64(s.max_pending_reports);
-  w.u64(s.events_total);
-  put_decoder(w, s.decoder);
-  put_lint(w, s.lint);
-  if (s.engine == DetectorEngine::kDsu)
-    put_detector<DsuClock>(w, s.dsu);
-  else
-    put_detector<DePaClock>(w, s.depa);
-  put_reports(w, s.pending);
-
-  std::string blob;
-  blob.reserve(kHeaderBytes + w.out.size());
-  blob.append(kMagic, sizeof(kMagic));
-  Writer header;
-  header.u32(static_cast<std::uint32_t>(w.out.size()));
-  header.u32(crc32c(w.out.data(), w.out.size()));
-  blob.append(header.out);
-  blob.append(w.out);
+  const DetectionSession::State s = session.export_state();
+  Sizer sizer;
+  put_payload(sizer, s, quota_bytes);
+  std::string blob(kHeaderBytes + sizer.size, '\0');
+  auto* out = reinterpret_cast<unsigned char*>(blob.data());
+  Writer w{out + kHeaderBytes};
+  put_payload(w, s, quota_bytes);
+  R2D_ASSERT(w.p == out + blob.size());
+  std::memcpy(out, kMagic, sizeof(kMagic));
+  store_le(out + sizeof(kMagic), static_cast<std::uint32_t>(sizer.size));
+  store_le(out + sizeof(kMagic) + 4,
+           crc32c(out + kHeaderBytes, sizer.size));
   return blob;
 }
 

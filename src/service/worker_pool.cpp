@@ -28,6 +28,9 @@ WorkerPool::WorkerPool(std::size_t workers, ServiceLimits limits)
         static_cast<std::uint32_t>(workers));
     shards_.push_back(std::move(shard));
   }
+  // Every shard exists before any worker runs: each shard's SpillTier
+  // sweeps the shared spill directory for stale files when it is built,
+  // which must not happen once a shard could have spilled into it.
   for (std::size_t w = 0; w < workers; ++w)
     shards_[w]->thread = std::thread([this, w] { worker_main(w); });
 }
@@ -212,11 +215,15 @@ std::string WorkerPool::metrics_json() const {
   std::size_t spilled = 0;
   std::size_t spill_bytes = 0;
   std::uint64_t rehydrations = 0;
+  std::uint64_t spill_ns = 0;
+  std::uint64_t rehydrate_ns = 0;
   for (const auto& shard : shards_) {
     events += shard->service->events_total();
     spilled += shard->service->spilled_sessions();
     spill_bytes += shard->service->spill_bytes();
     rehydrations += shard->service->rehydrations();
+    spill_ns += shard->service->spill_ns();
+    rehydrate_ns += shard->service->rehydrate_ns();
   }
   std::ostringstream os;
   os << "{\"workers\":" << shards_.size()
@@ -227,6 +234,7 @@ std::string WorkerPool::metrics_json() const {
      << ",\"spilled_sessions\":" << spilled
      << ",\"spill_bytes\":" << spill_bytes
      << ",\"rehydrations\":" << rehydrations
+     << ",\"spill_ns\":" << spill_ns << ",\"rehydrate_ns\":" << rehydrate_ns
      << ",\"events\":" << events << ",\"shards\":[";
   for (std::size_t w = 0; w < shards_.size(); ++w) {
     if (w != 0) os << ",";

@@ -2,7 +2,7 @@
 // streaming (push) decode equivalence under every byte-split, and the full
 // rejection taxonomy — every stable DecodeCode B001–B014 triggered on
 // purpose, every truncation prefix and every single-bit flip of a valid
-// stream rejected.
+// stream rejected — and the CRC32C that seals every chunk.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -387,6 +387,55 @@ TEST(BinaryWriter, StreamingChunksAndCounters) {
   EXPECT_EQ(trace_from_binary(bytes), trace);
   // Incremental emission equals the batch encoding under equal options.
   EXPECT_EQ(bytes, trace_to_binary(trace, options));
+}
+
+// ---- CRC32C ----------------------------------------------------------------
+
+TEST(Crc32c, KnownVectors) {
+  // RFC 3720 (iSCSI) appendix B.4, plus the usual "123456789" check value.
+  const std::string zeros(32, '\x00');
+  const std::string ones(32, '\xFF');
+  std::string ascending;
+  for (int i = 0; i < 32; ++i) ascending.push_back(static_cast<char>(i));
+  const std::string digits = "123456789";
+  for (const auto crc : {&crc32c, &detail::crc32c_portable}) {
+    EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending.data(), ascending.size(), 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(digits.data(), digits.size(), 0), 0xE3069283u);
+    EXPECT_EQ(crc(digits.data(), 0, 0), 0u);
+  }
+}
+
+TEST(Crc32c, DispatchedPathMatchesThePortableLoop) {
+  // crc32c() runs the SSE4.2 instruction where the CPU has it; it must give
+  // the table loop's value for every length and alignment, and when chained
+  // through its `crc` argument.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  // The comparison below is only worth something if dispatch picked the
+  // instruction wherever the CPU offers it.
+  EXPECT_EQ(detail::crc32c_uses_hardware(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#endif
+  std::vector<unsigned char> bytes(300 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      const std::uint32_t want = detail::crc32c_portable(p, len);
+      ASSERT_EQ(crc32c(p, len), want) << "len " << len << " offset " << offset;
+      const std::size_t cut = len / 3;
+      ASSERT_EQ(crc32c(p + cut, len - cut, crc32c(p, cut)), want)
+          << "chained at " << cut << ", len " << len << " offset " << offset;
+      ASSERT_EQ(detail::crc32c_portable(p + cut, len - cut,
+                                        detail::crc32c_portable(p, cut)),
+                want);
+    }
+  }
 }
 
 }  // namespace

@@ -12,15 +12,19 @@
 //    of a valid v2 stream is rejected;
 //  * the run sink surfaces stationary runs and the detector fast path is
 //    bit-identical to per-event replay on both engines;
-//  * blob codec: round trip on adversarial byte shapes, nullopt on any
-//    corruption;
-//  * spill tier: store/load round trip, LRU budget eviction, K009/K010.
+//  * blob codec: round trip on adversarial byte shapes and on hand-built
+//    token streams (overlapping, exact-distance and literal-only copies),
+//    compressed bytes pinned on corpus snapshot blobs, nullopt on any
+//    corruption or truncation;
+//  * spill tier: store/load round trip, LRU budget eviction, K009/K010,
+//    the start-up sweep of stale spill files.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <string>
@@ -38,6 +42,7 @@
 #include "io/varint.hpp"
 #include "runtime/trace.hpp"
 #include "service/session.hpp"
+#include "service/snapshot.hpp"
 #include "support/ids.hpp"
 
 namespace race2d {
@@ -359,6 +364,10 @@ TEST(CompressedRejection, EverySingleBitFlipThrows) {
 
 // ---- blob codec -----------------------------------------------------------
 
+std::optional<std::string> unzip(const std::string& z) {
+  return blob_decompress(z.data(), z.size());
+}
+
 TEST(BlobCodec, RoundTripsAdversarialShapes) {
   std::mt19937_64 rng(7);
   std::vector<std::string> shapes;
@@ -377,7 +386,7 @@ TEST(BlobCodec, RoundTripsAdversarialShapes) {
   shapes.push_back(mixed);                    // long-distance repeats
   for (const std::string& raw : shapes) {
     const std::string z = blob_compress(raw);
-    const std::optional<std::string> back = blob_decompress(z);
+    const std::optional<std::string> back = unzip(z);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, raw);
   }
@@ -390,13 +399,13 @@ TEST(BlobCodec, RejectsCorruption) {
   std::string raw = "the quick brown fox jumps over the lazy dog ";
   for (int i = 0; i < 6; ++i) raw += raw;
   const std::string z = blob_compress(raw);
-  EXPECT_FALSE(blob_decompress("").has_value());
-  EXPECT_FALSE(blob_decompress("R2DX").has_value());
-  EXPECT_FALSE(blob_decompress(z.substr(0, z.size() / 2)).has_value());
+  EXPECT_FALSE(unzip("").has_value());
+  EXPECT_FALSE(unzip("R2DX").has_value());
+  EXPECT_FALSE(unzip(z.substr(0, z.size() / 2)).has_value());
   for (std::size_t i = 0; i < z.size(); ++i) {
     std::string corrupt = z;
     corrupt[i] = static_cast<char>(static_cast<unsigned char>(corrupt[i]) ^ 1);
-    const std::optional<std::string> back = blob_decompress(corrupt);
+    const std::optional<std::string> back = unzip(corrupt);
     // A flip may land in a literal's bytes (still decodes, different
     // content) — but it must NEVER decode to the original claiming success
     // with different structure, and must never crash. Structural flips
@@ -406,6 +415,139 @@ TEST(BlobCodec, RejectsCorruption) {
     } else if (i < 5) {
       EXPECT_FALSE(back.has_value()) << "header flip at byte " << i;
     }
+  }
+}
+
+// Pins the R2DZ bytes: blob_compress of the corpus snapshot blobs that
+// Snapshot.V3BlobBytesArePinned pins has a fixed length and CRC32C on each
+// engine, so any change to the matcher's choices shows up here.
+TEST(BlobCodec, CompressedSnapshotBytesArePinned) {
+  struct Pin {
+    const char* file;
+    DetectorEngine engine;
+    std::size_t length;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {"retire-reuse-race.btrace", DetectorEngine::kDsu, 227, 888372396u},
+      {"retire-reuse-race.btrace", DetectorEngine::kDepa, 267, 669842810u},
+      {"serial-fork-loop.btrace", DetectorEngine::kDsu, 16644, 3887222021u},
+      {"serial-fork-loop.btrace", DetectorEngine::kDepa, 169204, 3233988460u},
+  };
+  for (const Pin& pin : pins) {
+    std::ifstream in(std::string(RACE2D_CORPUS_DIR) + "/" + pin.file,
+                     std::ios::binary);
+    const std::string wire((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_FALSE(wire.empty()) << pin.file;
+    DetectionSession session(ReportPolicy::kAll, 1u << 16, pin.engine);
+    ASSERT_EQ(session.feed(wire).status, ServiceStatus::kOk) << pin.file;
+    const std::string blob = snapshot_session(session, 1u << 20);
+    const std::string z = blob_compress(blob);
+    EXPECT_EQ(z.size(), pin.length)
+        << pin.file << " engine " << static_cast<int>(pin.engine);
+    EXPECT_EQ(crc32c(z.data(), z.size()), pin.crc)
+        << pin.file << " engine " << static_cast<int>(pin.engine);
+    EXPECT_EQ(unzip(z), blob);
+  }
+}
+
+/// A hand-built R2DZ stream: `raw_size` then the given tokens.
+struct ZBlob {
+  std::string bytes;
+  explicit ZBlob(std::uint64_t raw_size) : bytes("R2DZ\x01") {
+    append_varint(bytes, raw_size);
+  }
+  ZBlob& literal(const std::string& text) {
+    bytes.push_back('\x00');
+    append_varint(bytes, text.size());
+    bytes += text;
+    return *this;
+  }
+  ZBlob& copy(std::uint64_t dist, std::uint64_t len) {
+    bytes.push_back('\x01');
+    append_varint(bytes, dist);
+    append_varint(bytes, len);
+    return *this;
+  }
+};
+
+TEST(BlobCodec, DecodesEveryCopyShape) {
+  const std::string digits = "0123456789";
+  const std::string twenty = "abcdefghijklmnopqrst";
+  struct Case {
+    const char* what;
+    std::string blob;
+    std::string want;
+  };
+  const Case cases[] = {
+      {"dist 1 run", ZBlob(11).literal("x").copy(1, 10).bytes,
+       std::string(11, 'x')},
+      {"dist < len", ZBlob(13).literal("abc").copy(3, 10).bytes,
+       "abcabcabcabca"},
+      {"dist == len", ZBlob(8).literal("abcd").copy(4, 4).bytes,
+       "abcdabcd"},
+      {"8 <= dist < len", ZBlob(35).literal(digits).copy(10, 25).bytes,
+       digits + digits + digits + "01234"},
+      {"short overlapping copy", ZBlob(22).literal(digits).copy(10, 12).bytes,
+       digits + digits + "01"},
+      {"short copy from far back",
+       ZBlob(25).literal(twenty).copy(20, 5).bytes, twenty + "abcde"},
+      {"long copy", ZBlob(40).literal(twenty).copy(20, 20).bytes,
+       twenty + twenty},
+      {"literal only", ZBlob(10).literal(digits).bytes, digits},
+      {"literals back to back",
+       ZBlob(13).literal("abc").literal(digits).bytes, "abc" + digits},
+      {"empty", ZBlob(0).bytes, ""},
+  };
+  for (const Case& c : cases) {
+    const std::optional<std::string> back = unzip(c.blob);
+    ASSERT_TRUE(back.has_value()) << c.what;
+    EXPECT_EQ(*back, c.want) << c.what;
+  }
+  // The same shapes through the compressor: a dist-1 run, a short period,
+  // literal-only and empty inputs all round-trip.
+  for (const std::string& raw :
+       {std::string(1000, 'z'), std::string("abcabcabcabcabcabcabca"),
+        std::string("abcd"), std::string("abcdabcd"), digits,
+        std::string()}) {
+    EXPECT_EQ(unzip(blob_compress(raw)), raw) << raw;
+  }
+}
+
+TEST(BlobCodec, RejectsEveryBoundViolation) {
+  EXPECT_FALSE(unzip(ZBlob(kMaxBlobBytes + 1).literal("x").bytes))
+      << "raw_size above kMaxBlobBytes";
+  EXPECT_FALSE(unzip(ZBlob(6).literal("ab").copy(3, 4).bytes))
+      << "distance past the output written so far";
+  EXPECT_FALSE(unzip(ZBlob(6).literal("ab").copy(0, 4).bytes))
+      << "zero distance";
+  EXPECT_FALSE(unzip(ZBlob(5).literal("ab").copy(2, 3).bytes))
+      << "copy shorter than the minimum match";
+  EXPECT_FALSE(unzip(ZBlob(5).literal("ab").copy(2, 4).bytes))
+      << "copy past raw_size";
+  EXPECT_FALSE(unzip(ZBlob(3).literal("abcd").bytes))
+      << "literal past raw_size";
+  EXPECT_FALSE(unzip(ZBlob(5).literal("abcd").bytes))
+      << "output shorter than raw_size";
+  std::string overlong = ZBlob(1).bytes;
+  overlong += std::string("\x00\x81\x00", 3) + "x";  // 1 as a 2-byte varint
+  EXPECT_FALSE(unzip(overlong)) << "non-canonical varint";
+}
+
+TEST(BlobCodec, EveryTruncationIsRejected) {
+  std::string periodic;
+  for (int i = 0; i < 300; ++i) periodic += "abcdefg" + std::to_string(i % 7);
+  std::mt19937_64 rng(11);
+  std::string mixed;
+  for (int i = 0; i < 600; ++i)
+    mixed.push_back(static_cast<char>(rng() % 5 == 0 ? rng() & 0xFF : 'q'));
+  for (const std::string& raw : {periodic, mixed, std::string("abc")}) {
+    const std::string z = blob_compress(raw);
+    ASSERT_EQ(unzip(z), raw);
+    for (std::size_t len = 0; len < z.size(); ++len)
+      EXPECT_FALSE(unzip(z.substr(0, len)).has_value())
+          << "prefix " << len << " of " << z.size();
   }
 }
 
@@ -552,6 +694,43 @@ TEST(SpillTier, K010PayloadDamage) {
   std::string error;
   EXPECT_FALSE(tier.load(11, &error).has_value());
   EXPECT_NE(error.find("K010"), std::string::npos) << error;
+}
+
+TEST(SpillTier, ConstructorSweepsOnlyStaleSpillFiles) {
+  TempDir dir;
+  const auto plant = [&](const std::string& name) {
+    std::ofstream(dir.path / name, std::ios::binary) << "stale";
+  };
+  // What an earlier process's tier leaves behind: no later tier can load
+  // these (the index lived in that process), so they are deleted.
+  const std::vector<std::string> stale = {"sess-1.spill", "sess-42.spill.tmp",
+                                          "sess-4294967295.spill"};
+  // Anything else is someone else's and stays.
+  const std::vector<std::string> foreign = {
+      "notes.txt",          "sess-1.spill.bak", "sess-.spill",
+      "sess-01.spill",      "sess-x.spill",     "xsess-1.spill",
+      "sess-4294967296.spill", "sess-3.spilltmp"};
+  for (const std::string& name : stale) plant(name);
+  for (const std::string& name : foreign) plant(name);
+  std::filesystem::create_directories(dir.path / "sess-7.spill");
+  plant("target");
+  std::filesystem::create_symlink(dir.path / "target",
+                                  dir.path / "sess-9.spill");
+
+  SpillTier tier(dir.path.string(), 1u << 20);
+  EXPECT_EQ(tier.sessions(), 0u);
+  EXPECT_EQ(tier.bytes(), 0u);
+  for (const std::string& name : stale)
+    EXPECT_FALSE(std::filesystem::exists(dir.path / name)) << name;
+  for (const std::string& name : foreign)
+    EXPECT_TRUE(std::filesystem::exists(dir.path / name)) << name;
+  EXPECT_TRUE(std::filesystem::is_directory(dir.path / "sess-7.spill"));
+  EXPECT_TRUE(std::filesystem::is_symlink(dir.path / "sess-9.spill"));
+  EXPECT_TRUE(std::filesystem::exists(dir.path / "target"));
+
+  // A missing directory is not an error: there is nothing stale in it.
+  SpillTier missing((dir.path / "absent").string(), 1u << 20);
+  EXPECT_EQ(missing.sessions(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // report streams under arbitrary session interleavings.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "runtime/trace_io.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "service/worker_pool.hpp"
 
 namespace race2d {
 namespace {
@@ -345,6 +349,105 @@ TEST(Service, MetricsJsonTracksTraffic) {
   EXPECT_NE(json.find("\"sessions_opened\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"sessions_closed\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"live_sessions\":0"), std::string::npos) << json;
+}
+
+/// The number after the first `"key":` at or past `from` in `json`.
+std::uint64_t json_u64(const std::string& json, const std::string& key,
+                       std::size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle, from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << key << " missing from " << json;
+    return 0;
+  }
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+std::size_t occurrences(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  std::size_t n = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1))
+    ++n;
+  return n;
+}
+
+/// A spill-enabled service over a fresh directory; a 1-byte global budget
+/// spills every session after each FEED, so the next FEED rehydrates it.
+struct SpillSetup {
+  std::filesystem::path dir;
+  ServiceLimits limits;
+  explicit SpillSetup(const char* tag) {
+    dir = std::filesystem::temp_directory_path() /
+          (std::string("race2d-") + tag + "-" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    limits.total_quota_bytes = 1;
+    limits.spill_dir = dir.string();
+  }
+  ~SpillSetup() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+
+TEST(Service, MetricsJsonTimesTheColdTier) {
+  SpillSetup setup("metrics-spill");
+  DetectionService service(setup.limits);
+  const std::string idle = service.metrics_json();
+  EXPECT_EQ(json_u64(idle, "spill_ns"), 0u) << idle;
+  EXPECT_EQ(json_u64(idle, "rehydrate_ns"), 0u) << idle;
+
+  const std::uint32_t id = open_session(service);
+  const std::string wire = trace_to_binary(generated(123));
+  const std::size_t half = wire.size() / 2;
+  ASSERT_EQ(feed_bytes(service, id, wire.substr(0, half)).status,
+            ServiceStatus::kOk);
+  ASSERT_EQ(feed_bytes(service, id, wire.substr(half)).status,
+            ServiceStatus::kOk);
+  const std::string json = service.metrics_json();
+  EXPECT_GE(json_u64(json, "spills"), 2u) << json;
+  EXPECT_GE(json_u64(json, "rehydrations"), 1u) << json;
+  EXPECT_GT(json_u64(json, "spill_ns"), 0u) << json;
+  EXPECT_GT(json_u64(json, "rehydrate_ns"), 0u) << json;
+  // Clients sum each key over the shard objects, so no key may repeat.
+  EXPECT_EQ(occurrences(json, "spill_ns"), 1u) << json;
+  EXPECT_EQ(occurrences(json, "rehydrate_ns"), 1u) << json;
+}
+
+TEST(WorkerPool, MetricsJsonSumsTheShardsColdTierTime) {
+  SpillSetup setup("pool-metrics-spill");
+  WorkerPool pool(2, setup.limits);
+  const std::string wire = trace_to_binary(generated(123));
+  const std::size_t half = wire.size() / 2;
+  for (int s = 0; s < 4; ++s) {
+    Request open;
+    open.verb = Verb::kOpen;
+    const std::uint32_t id = pool.handle(open).session;
+    for (const std::string& part : {wire.substr(0, half), wire.substr(half)}) {
+      Request feed;
+      feed.verb = Verb::kFeed;
+      feed.session = id;
+      feed.bytes = part;
+      ASSERT_EQ(pool.handle(feed).status, ServiceStatus::kOk);
+    }
+  }
+  pool.shutdown();  // let queued evictions land before reading the totals
+  const std::string json = pool.metrics_json();
+  const std::size_t shards = json.find("\"shards\":[");
+  ASSERT_NE(shards, std::string::npos) << json;
+  for (const char* key : {"spill_ns", "rehydrate_ns"}) {
+    const std::uint64_t total = json_u64(json, key);
+    const std::size_t first = json.find(std::string("\"") + key + "\":");
+    EXPECT_LT(first, shards) << key << " total must precede the shards";
+    std::uint64_t sum = 0;
+    for (std::size_t at = shards;
+         (at = json.find(std::string("\"") + key + "\":", at)) !=
+         std::string::npos;
+         ++at)
+      sum += json_u64(json, key, at);
+    EXPECT_EQ(total, sum) << key << " in " << json;
+    EXPECT_GT(total, 0u) << key << " in " << json;
+  }
 }
 
 TEST(PipeServer, FrameLoopAnswersEveryRequestAndRecovers) {
