@@ -114,15 +114,16 @@ rm -f "$socket_path"
 echo "socket smoke: reports bit-identical across the corpus via 4 workers"
 
 echo "== compress/spill matrix smoke: v2 corpus through a spill-enabled pool"
-# The engine x compression matrix. Every corpus stream is (1) cross-checked
-# by race2d_convert --verify (v2 expands to the identical events and
-# re-encodes to the identical v1 bytes), (2) re-encoded as a version-2
-# run-compressed binary, and (3) driven through a 2-worker daemon whose
-# global quota is so small that EVERY feed sweep spills the session to the
-# cold tier and the next frame rehydrates it. For both engines the drained
-# report stream must stay bit-identical to the offline serial detector on
-# the ORIGINAL uncompressed trace — compression and the spill/rehydrate
-# cycle may never change a verdict.
+# The engine x trace-compression matrix. Every corpus stream is (1)
+# cross-checked by race2d_convert --verify (v2 expands to the identical
+# events and re-encodes to the identical v1 bytes), (2) re-encoded as a
+# version-2 run-compressed binary, and (3) driven through a 2-worker daemon
+# whose global quota is so small that EVERY feed sweep spills the session
+# to the cold tier (its v4 snapshot blob written to the spill file as it
+# is, with no second codec) and the next frame rehydrates it. For both
+# engines the drained report stream must stay bit-identical to the offline
+# serial detector on the ORIGINAL uncompressed trace — run compression of
+# the trace and the spill/rehydrate cycle may never change a verdict.
 spill_dir=$(mktemp -d /tmp/race2dd-spill-XXXXXX)
 v2_dir=$(mktemp -d /tmp/race2d-v2-XXXXXX)
 spill_sock="/tmp/race2dd-spill-$$.sock"
@@ -220,7 +221,7 @@ fi
 if [[ "${RACE2D_SKIP_TSAN:-0}" == "1" ]]; then
   echo "== TSan skipped (RACE2D_SKIP_TSAN=1)"
 else
-  echo "== ThreadSanitizer build (sharded analyzer + parallel executor + parallel online detector + service pool)"
+  echo "== ThreadSanitizer build (sharded analyzer + parallel executor + parallel online detector + service pool + snapshot codec)"
   # parallel_online_test is the detection-INSIDE-the-pool stress: workers
   # buffer accesses and resolve them against striped shadow cells while
   # hammering overlapping locations, and the root's forks relabel the
@@ -228,18 +229,20 @@ else
   # that path is a TSan report here. service_pool_test hammers STATS
   # against concurrent feeds (the metrics counters must be atomics), and
   # service_fuzz_test runs adversarial clients against the live epoll
-  # thread + worker shards.
+  # thread + worker shards. snapshot_test carries the seeded mutation
+  # sweep of the v4 snapshot decoder and the cross-pool migration.
   cmake -B build-tsan -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1 -g" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
     sharded_analyzer_test parallel_executor_test parallel_online_test \
-    service_pool_test service_fuzz_test
+    service_pool_test service_fuzz_test snapshot_test
   ./build-tsan/tests/sharded_analyzer_test
   ./build-tsan/tests/parallel_executor_test
   ./build-tsan/tests/parallel_online_test
   ./build-tsan/tests/service_pool_test
   ./build-tsan/tests/service_fuzz_test
+  ./build-tsan/tests/snapshot_test
 fi
 
 if [[ "${RACE2D_SKIP_TIDY:-0}" == "1" ]]; then

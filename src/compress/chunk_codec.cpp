@@ -84,8 +84,12 @@ std::string compress_chunk_payload(const TraceEvent* events, std::size_t n) {
       std::size_t as_run;
       if (hit != dict.end()) {
         as_run = 1 + varint_len(hit->second) + varint_len(reps);
-      } else {
+      } else if (dict.size() < kMaxChunkTemplates) {
         as_run = 1 + varint_len(reps) + varint_len(best_p) + tmpl.size();
+      } else {
+        // The dictionary is full, and the reader refuses a define past its
+        // cap (B015): the span stays literal.
+        as_run = as_literal;
       }
       if (as_run < as_literal) {
         flush_literal();
@@ -98,12 +102,7 @@ std::string compress_chunk_payload(const TraceEvent* events, std::size_t n) {
           append_varint(payload, reps);
           append_varint(payload, best_p);
           payload += tmpl;
-          if (dict.size() < kMaxChunkTemplates)
-            dict.emplace(tmpl, static_cast<std::uint32_t>(dict.size()));
-          else
-            ;  // past the cap the decoder would reject a define — but we
-               // only consulted the dictionary, never re-defined, so this
-               // branch is unreachable: defines stop once the map is full.
+          dict.emplace(tmpl, static_cast<std::uint32_t>(dict.size()));
         }
         i += best_cover;
         continue;

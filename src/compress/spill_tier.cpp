@@ -7,12 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <memory>
 #include <utility>
 
-#include "compress/blob_codec.hpp"
 #include "io/crc32c.hpp"
 
 namespace race2d {
@@ -20,7 +17,8 @@ namespace race2d {
 namespace {
 
 constexpr char kSpillMagic[8] = {'R', '2', 'D', 'S', 'P', 'I', 'L', 'L'};
-constexpr std::uint8_t kSpillVersion = 1;
+// Version 1 carried an LZ-compressed blob; 2 carries the blob as it is.
+constexpr std::uint8_t kSpillVersion = 2;
 constexpr std::size_t kSpillHeaderBytes = 8 + 1 + 4 + 4 + 4;
 
 void put_u32le(unsigned char* out, std::uint32_t v) {
@@ -63,24 +61,35 @@ bool write_all(int fd, iovec* parts, int count) {
   return true;
 }
 
-/// Reads up to `size` bytes into `out`, retrying short reads and EINTR;
-/// returns the count read (short only at end of file), or -1 on error.
-ssize_t read_all(int fd, unsigned char* out, std::size_t size) {
+/// Fills `parts` from `fd`, retrying short reads and EINTR; returns the
+/// count read (short only at end of file), or -1 on error.
+ssize_t read_all(int fd, iovec* parts, int count) {
   std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, out + got, size - got);
+  while (count > 0) {
+    const ssize_t n = ::readv(fd, parts, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       return -1;
     }
     if (n == 0) break;
     got += static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (count > 0 && left >= parts->iov_len) {
+      left -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count > 0) {
+      parts->iov_base = static_cast<char*>(parts->iov_base) + left;
+      parts->iov_len -= left;
+    }
   }
   return static_cast<ssize_t>(got);
 }
 
-/// True for the names the tier itself writes: `sess-<id>.spill` and
-/// `sess-<id>.spill.tmp`, with <id> a u32 in canonical decimal.
+/// True for the names the tier writes, `sess-<id>.spill`, and the
+/// `sess-<id>.spill.tmp` that older builds wrote first; <id> is a u32 in
+/// canonical decimal.
 bool is_spill_name(const char* name) {
   constexpr char kPrefix[] = "sess-";
   if (std::strncmp(name, kPrefix, sizeof(kPrefix) - 1) != 0) return false;
@@ -135,14 +144,13 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
   StoreResult result;
   drop_entry(id);  // re-spill of the same id replaces the old file
 
-  const std::string payload = blob_compress(blob);
   unsigned char header[kSpillHeaderBytes];
   std::memcpy(header, kSpillMagic, sizeof(kSpillMagic));
   header[8] = kSpillVersion;
   put_u32le(header + 9, id);
-  put_u32le(header + 13, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(header + 17, crc32c(payload.data(), payload.size()));
-  const std::uint64_t file_bytes = kSpillHeaderBytes + payload.size();
+  put_u32le(header + 13, static_cast<std::uint32_t>(blob.size()));
+  put_u32le(header + 17, crc32c(blob.data(), blob.size()));
+  const std::uint64_t file_bytes = kSpillHeaderBytes + blob.size();
 
   if (file_bytes > budget_) return result;  // would never fit
   // Pick the LRU victims now, but drop them only once the new file is in
@@ -155,19 +163,18 @@ SpillTier::StoreResult SpillTier::store(std::uint32_t id,
     kept -= index_.at(*it).bytes;
   }
 
-  // tmp + rename: a crash mid-write leaves no torn `.spill` entry. No
-  // fsync: the index lives in this process, so nothing spilled outlives it.
+  // Written in place, with no tmp + rename and no fsync: the index lives
+  // in this process, so a file torn by a crash is never loaded — the next
+  // process's sweep deletes it.
   const std::string path = path_for(id);
-  const std::string tmp = path + ".tmp";
   const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd < 0) return result;
   iovec parts[2] = {{header, kSpillHeaderBytes},
-                    {const_cast<char*>(payload.data()), payload.size()}};
+                    {const_cast<char*>(blob.data()), blob.size()}};
   const bool wrote = write_all(fd, parts, 2);
-  if (::close(fd) != 0 || !wrote ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
+  if (::close(fd) != 0 || !wrote) {
+    ::unlink(path.c_str());
     return result;
   }
 
@@ -190,15 +197,21 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
     if (error) *error = k_error("K009", id, "no spill entry for this session");
     return std::nullopt;
   }
-  // The whole file in one buffer. Reading at most one byte more than the
-  // tier wrote bounds the buffer whatever now sits at the path; a longer,
-  // shorter or missing file fails the length checks below.
-  const std::size_t capacity = static_cast<std::size_t>(it->second.bytes) + 1;
-  const std::unique_ptr<unsigned char[]> file(new unsigned char[capacity]);
+  // One readv: the header, the blob straight into the string returned, and
+  // one guard byte. Reading at most one byte more than the tier wrote
+  // bounds the buffers whatever now sits at the path; a longer, shorter or
+  // missing file fails the length checks below.
+  unsigned char header[kSpillHeaderBytes];
+  std::string blob(static_cast<std::size_t>(it->second.bytes) - kSpillHeaderBytes,
+                   '\0');
+  unsigned char guard = 0;
   std::size_t file_size = 0;
   const int fd = ::open(path_for(id).c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
-    const ssize_t got = read_all(fd, file.get(), capacity);
+    iovec parts[3] = {{header, kSpillHeaderBytes},
+                      {blob.data(), blob.size()},
+                      {&guard, 1}};
+    const ssize_t got = read_all(fd, parts, 3);
     file_size = got < 0 ? 0 : static_cast<std::size_t>(got);
     ::close(fd);
   }
@@ -211,7 +224,7 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
   };
   if (file_size < kSpillHeaderBytes)
     return reject("K009", "spill file missing or truncated before its header");
-  const unsigned char* p = file.get();
+  const unsigned char* p = header;
   if (std::memcmp(p, kSpillMagic, sizeof(kSpillMagic)) != 0)
     return reject("K009", "spill file magic mismatch");
   if (p[8] != kSpillVersion) return reject("K009", "spill file version mismatch");
@@ -219,13 +232,11 @@ std::optional<std::string> SpillTier::load(std::uint32_t id,
     return reject("K009", "spill file names a different session");
   const std::uint32_t payload_len = get_u32le(p + 13);
   const std::uint32_t crc = get_u32le(p + 17);
-  if (file_size != kSpillHeaderBytes + payload_len)
+  if (file_size != kSpillHeaderBytes + payload_len ||
+      payload_len != blob.size())
     return reject("K009", "spill file length disagrees with its header");
-  const auto* payload = reinterpret_cast<const char*>(p + kSpillHeaderBytes);
-  if (crc32c(payload, payload_len) != crc)
+  if (crc32c(blob.data(), blob.size()) != crc)
     return reject("K010", "spill payload fails its CRC32C");
-  std::optional<std::string> blob = blob_decompress(payload, payload_len);
-  if (!blob) return reject("K010", "spill payload fails to decompress");
   return blob;
 }
 

@@ -1,32 +1,35 @@
 // Bounded on-disk cold tier for evicted detection sessions.
 //
 // When the service's global byte budget forces an eviction, the session's
-// snapshot blob (service/snapshot.hpp) is compressed (blob_codec) and
-// spilled to `<dir>/sess-<id>.spill` instead of being tombstoned. A later
-// FEED or explicit RESTORE rehydrates it transparently. The tier is LRU
-// over COMPRESSED file bytes: storing past the budget drops the
-// least-recently-spilled sessions (the caller tombstones them — they are
-// gone for real). Victims are dropped only after the new file is written
-// and renamed into place, so a failed write loses nothing already spilled.
+// snapshot blob (service/snapshot.hpp) is spilled as it is to
+// `<dir>/sess-<id>.spill` instead of being tombstoned; the blob's varint
+// fields already make it compact, so no second codec runs. A later FEED or
+// explicit RESTORE rehydrates it transparently. The tier is LRU over file
+// bytes: storing past the budget drops the least-recently-spilled sessions
+// (the caller tombstones them — they are gone for real). Victims are
+// dropped only after the new file is written, so a failed write loses
+// nothing already spilled.
 //
-//   file := "R2DSPILL" version:u8=1 session_id:u32 payload_len:u32
-//           crc:u32(payload, CRC32C) payload = blob_compress(snapshot blob)
+//   file := "R2DSPILL" version:u8=2 session_id:u32 payload_len:u32
+//           crc:u32(payload, CRC32C) payload = snapshot blob
 //
-// Files are written tmp-then-rename with plain POSIX calls (open, writev,
-// close, rename; open, read on the way back), and never fsynced:
-// the tier trusts only its in-memory index, so nothing it spilled can be
-// loaded by a later process anyway. A spill directory therefore belongs to
-// one daemon. Shards share it (session ids are disjoint across shards, so
-// files never collide), and the constructor deletes the regular files
-// named `sess-<id>.spill` or `sess-<id>.spill.tmp` that an earlier process
-// left behind, since they would sit outside the budget forever. Every other
-// name, and every directory, is left alone. Because of that sweep, all
-// tiers over one directory must be built before any of them stores.
+// Files are written in place with plain POSIX calls (open, writev, close;
+// open, one readv on the way back), with no tmp + rename and no fsync: the
+// tier trusts only its in-memory index, so nothing it spilled — a file torn
+// by a crash included — can be loaded by a later process. A failed write
+// unlinks its file. A spill directory therefore belongs to one daemon.
+// Shards share it (session ids are disjoint across shards, so files never
+// collide), and the constructor deletes the regular files named
+// `sess-<id>.spill`, or `sess-<id>.spill.tmp` as older builds wrote, that
+// an earlier process left behind, since they would sit outside the budget
+// forever. Every other name, and every directory, is left alone. Because of
+// that sweep, all tiers over one directory must be built before any of them
+// stores.
 //
 // Corrupt spill files are K-coded like snapshot blobs: K009 for structural
 // damage (missing file, bad magic/version/id, truncation), K010 for payload
-// damage (CRC mismatch, decompression failure). load() always removes the
-// entry — a corrupt spill must not be retried forever.
+// damage (CRC mismatch). load() always removes the entry — a corrupt spill
+// must not be retried forever.
 //
 // Not thread-safe: each tier instance is owned by one shard thread; the
 // service mirrors the counters into atomics for metrics_json().
@@ -45,7 +48,7 @@ namespace race2d {
 class SpillTier {
  public:
   /// `dir` should exist (the server creates it at startup); `budget_bytes`
-  /// bounds the total COMPRESSED bytes resident on disk. Deletes the stale
+  /// bounds the total file bytes resident on disk. Deletes the stale
   /// spill files an earlier process left in `dir`.
   SpillTier(std::string dir, std::uint64_t budget_bytes);
 
@@ -55,7 +58,7 @@ class SpillTier {
     std::vector<std::uint32_t> dropped;  ///< LRU victims deleted to make room;
                                          ///< empty whenever stored is false
   };
-  /// Compresses and writes `blob` for session `id`, then evicts LRU entries
+  /// Writes `blob` for session `id`, then evicts LRU entries
   /// until the tier fits its budget. On failure no other entry is touched.
   StoreResult store(std::uint32_t id, const std::string& blob);
 

@@ -14,7 +14,7 @@
 //    total_quota_bytes, the largest session is evicted (deterministically:
 //    greatest footprint, lowest id on ties) until the sum fits. With a
 //    spill directory configured, a budget eviction SPILLS the session
-//    instead: its snapshot blob is compressed to the bounded on-disk cold
+//    instead: its snapshot blob is written to the bounded on-disk cold
 //    tier (compress/spill_tier.hpp) and a later FEED — or an explicit
 //    RESTORE with the session id and no blob — rehydrates it transparently.
 //    Per-session quota violations stay fatal (a session over its OWN quota
@@ -64,7 +64,7 @@ struct ServiceLimits {
   /// session snapshot there instead of tombstoning. The directory must
   /// exist. Shards may share one directory (their session ids are disjoint).
   std::string spill_dir;
-  /// Byte budget of the cold tier (COMPRESSED bytes on disk); the
+  /// Byte budget of the cold tier (spill file bytes on disk); the
   /// least-recently-spilled sessions are dropped past it.
   std::size_t spill_budget_bytes = 1u << 30;
 };
@@ -113,8 +113,8 @@ class DetectionService {
   std::uint64_t rehydrations() const {
     return rehydrations_.load(std::memory_order_relaxed);
   }
-  /// Wall time spent in the cold tier: snapshot + compress + write per
-  /// spill, read + decompress + restore per rehydration.
+  /// Wall time spent in the cold tier: snapshot + write per spill,
+  /// read + restore per rehydration.
   std::uint64_t spill_ns() const {
     return spill_ns_.load(std::memory_order_relaxed);
   }

@@ -10,10 +10,16 @@
 // original stream yields exactly the reports the unsnapshotted session
 // would have produced. The blob is self-framed and self-checking:
 //
-//   blob    := magic[8] ("R2DSNAP\x03")  payload_len:u32le
+//   blob    := magic[8] ("R2DSNAP\x04")  payload_len:u32le
 //              payload_crc:u32le (CRC32C)  payload[payload_len]
-//   payload := fed_bytes:u64le  policy:u8  engine:u8  quota_bytes:u64le
+//   payload := fed_bytes:u64  policy:u8  engine:u8  quota_bytes:u64
 //              <session state, see snapshot.cpp>
+//
+// Inside the payload every u32/u64 field is a LEB128 varint of
+// (v + 1) mod 2^width, so small ids take one or two bytes and the all-ones
+// "none" sentinels take one; u8 fields and raw byte arrays are stored as
+// they are. The encoding is canonical: a value has exactly one valid byte
+// string.
 //
 // fed_bytes leads the payload so clients can cheaply ask "how much of my
 // stream does this snapshot cover?" (snapshot_fed_bytes) and resume the
@@ -29,9 +35,11 @@
 //   K002  bad magic or unsupported snapshot version
 //   K003  payload length disagrees with the blob size
 //   K004  payload CRC32C mismatch
-//   K005  payload structure truncated or carries trailing bytes
+//   K005  payload structure truncated (also inside a varint) or carries
+//         trailing bytes
 //   K006  a field holds an out-of-range value (incl. DePa list ranks that
-//         are not a permutation)
+//         are not a permutation, a varint wider than its field, and an
+//         overlong varint)
 //   K007  cross-field validation failed (an index names a missing object)
 //   K008  session not snapshotable (poisoned, or the blob would exceed the
 //         protocol frame cap)

@@ -1,5 +1,5 @@
-// The compress/ subsystem: version-2 run-compressed chunks, the blob codec
-// under the cold tier, and the spill tier itself.
+// The compress/ subsystem: version-2 run-compressed chunks and the spill
+// tier under the service's cold tier.
 //
 //  * v2 round trip: every trace shape expands from its run-compressed
 //    encoding to the identical event list, and re-encoding the expansion as
@@ -12,10 +12,6 @@
 //    of a valid v2 stream is rejected;
 //  * the run sink surfaces stationary runs and the detector fast path is
 //    bit-identical to per-event replay on both engines;
-//  * blob codec: round trip on adversarial byte shapes and on hand-built
-//    token streams (overlapping, exact-distance and literal-only copies),
-//    compressed bytes pinned on corpus snapshot blobs, nullopt on any
-//    corruption or truncation;
 //  * spill tier: store/load round trip, LRU budget eviction, K009/K010,
 //    the start-up sweep of stale spill files.
 #include <gtest/gtest.h>
@@ -24,13 +20,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "compress/blob_codec.hpp"
 #include "compress/chunk_codec.hpp"
 #include "compress/run_decoder.hpp"
 #include "compress/spill_tier.hpp"
@@ -42,7 +36,6 @@
 #include "io/varint.hpp"
 #include "runtime/trace.hpp"
 #include "service/session.hpp"
-#include "service/snapshot.hpp"
 #include "support/ids.hpp"
 
 namespace race2d {
@@ -198,6 +191,48 @@ TEST(RunReplay, BitIdenticalReportsOnBothEngines) {
       EXPECT_EQ(plain.drain(0, more), fast.drain(0, more));
       EXPECT_EQ(plain.events_total(), fast.events_total());
     }
+  }
+}
+
+// A chunk with more distinct run templates than the per-chunk dictionary
+// holds: once it is full, the writer must keep further runs literal (a
+// define past the cap is B015 to the reader), and the stream must still
+// detect exactly as its version-1 encoding does.
+TEST(CompressedRoundTrip, FullTemplateDictionaryFallsBackToLiterals) {
+  constexpr Loc kBase = 0x1000;
+  Trace t;
+  t.push_back({TraceOp::kFork, 0, 1});
+  for (Loc d = 1; d <= 5000; ++d) {
+    for (int rep = 0; rep < 2; ++rep) {
+      t.push_back({TraceOp::kWrite, 1, kInvalidTask, kBase});
+      t.push_back({TraceOp::kWrite, 1, kInvalidTask, kBase + 8 * d});
+    }
+  }
+  t.push_back({TraceOp::kHalt, 1});
+  // The parent reads before it joins: races with the child's writes.
+  t.push_back({TraceOp::kRead, 0, kInvalidTask, kBase});
+  t.push_back({TraceOp::kRead, 0, kInvalidTask, kBase + 8 * 4999});
+  t.push_back({TraceOp::kJoin, 0, 1});
+  t.push_back({TraceOp::kHalt, 0});
+  BinaryWriteOptions zopt;
+  zopt.compression = CompressionMode::kRuns;
+  zopt.chunk_payload_bytes = 1u << 20;
+  const std::string v2 = trace_to_binary(t, zopt);
+  const std::string v1 = trace_to_binary(t);
+  EXPECT_EQ(trace_from_binary(v2), t);
+  for (const DetectorEngine engine :
+       {DetectorEngine::kDsu, DetectorEngine::kDepa}) {
+    DetectionSession plain(ReportPolicy::kAll, 1u << 20, engine);
+    DetectionSession z(ReportPolicy::kAll, 1u << 20, engine);
+    const auto a = plain.feed(v1);
+    const auto b = z.feed(v2);
+    ASSERT_EQ(a.status, ServiceStatus::kOk) << a.message;
+    ASSERT_EQ(b.status, ServiceStatus::kOk) << b.message;
+    EXPECT_EQ(a.events, b.events);
+    bool more = false;
+    const std::vector<RaceReport> expected = plain.drain(0, more);
+    EXPECT_EQ(expected.size(), 2u);
+    EXPECT_EQ(z.drain(0, more), expected);
   }
 }
 
@@ -362,195 +397,6 @@ TEST(CompressedRejection, EverySingleBitFlipThrows) {
   }
 }
 
-// ---- blob codec -----------------------------------------------------------
-
-std::optional<std::string> unzip(const std::string& z) {
-  return blob_decompress(z.data(), z.size());
-}
-
-TEST(BlobCodec, RoundTripsAdversarialShapes) {
-  std::mt19937_64 rng(7);
-  std::vector<std::string> shapes;
-  shapes.emplace_back();                      // empty
-  shapes.emplace_back(1, 'x');                // single byte
-  shapes.emplace_back(100000, 'a');           // one giant run
-  std::string random_bytes;
-  for (int i = 0; i < 50000; ++i)
-    random_bytes.push_back(static_cast<char>(rng() & 0xFF));
-  shapes.push_back(random_bytes);             // incompressible
-  std::string periodic;
-  for (int i = 0; i < 20000; ++i) periodic += "abcdefg";
-  shapes.push_back(periodic);                 // overlapping copies
-  std::string mixed = random_bytes.substr(0, 1000);
-  mixed += mixed + mixed + random_bytes.substr(1000, 500) + mixed;
-  shapes.push_back(mixed);                    // long-distance repeats
-  for (const std::string& raw : shapes) {
-    const std::string z = blob_compress(raw);
-    const std::optional<std::string> back = unzip(z);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, raw);
-  }
-  // The run and periodic shapes must actually shrink.
-  EXPECT_LT(blob_compress(shapes[2]).size(), shapes[2].size() / 4);
-  EXPECT_LT(blob_compress(periodic).size(), periodic.size() / 4);
-}
-
-TEST(BlobCodec, RejectsCorruption) {
-  std::string raw = "the quick brown fox jumps over the lazy dog ";
-  for (int i = 0; i < 6; ++i) raw += raw;
-  const std::string z = blob_compress(raw);
-  EXPECT_FALSE(unzip("").has_value());
-  EXPECT_FALSE(unzip("R2DX").has_value());
-  EXPECT_FALSE(unzip(z.substr(0, z.size() / 2)).has_value());
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    std::string corrupt = z;
-    corrupt[i] = static_cast<char>(static_cast<unsigned char>(corrupt[i]) ^ 1);
-    const std::optional<std::string> back = unzip(corrupt);
-    // A flip may land in a literal's bytes (still decodes, different
-    // content) — but it must NEVER decode to the original claiming success
-    // with different structure, and must never crash. Structural flips
-    // (magic, version, sizes, distances) must return nullopt.
-    if (back.has_value() && i >= 5) {
-      EXPECT_EQ(back->size(), raw.size());
-    } else if (i < 5) {
-      EXPECT_FALSE(back.has_value()) << "header flip at byte " << i;
-    }
-  }
-}
-
-// Pins the R2DZ bytes: blob_compress of the corpus snapshot blobs that
-// Snapshot.V3BlobBytesArePinned pins has a fixed length and CRC32C on each
-// engine, so any change to the matcher's choices shows up here.
-TEST(BlobCodec, CompressedSnapshotBytesArePinned) {
-  struct Pin {
-    const char* file;
-    DetectorEngine engine;
-    std::size_t length;
-    std::uint32_t crc;
-  };
-  const Pin pins[] = {
-      {"retire-reuse-race.btrace", DetectorEngine::kDsu, 227, 888372396u},
-      {"retire-reuse-race.btrace", DetectorEngine::kDepa, 267, 669842810u},
-      {"serial-fork-loop.btrace", DetectorEngine::kDsu, 16644, 3887222021u},
-      {"serial-fork-loop.btrace", DetectorEngine::kDepa, 169204, 3233988460u},
-  };
-  for (const Pin& pin : pins) {
-    std::ifstream in(std::string(RACE2D_CORPUS_DIR) + "/" + pin.file,
-                     std::ios::binary);
-    const std::string wire((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    ASSERT_FALSE(wire.empty()) << pin.file;
-    DetectionSession session(ReportPolicy::kAll, 1u << 16, pin.engine);
-    ASSERT_EQ(session.feed(wire).status, ServiceStatus::kOk) << pin.file;
-    const std::string blob = snapshot_session(session, 1u << 20);
-    const std::string z = blob_compress(blob);
-    EXPECT_EQ(z.size(), pin.length)
-        << pin.file << " engine " << static_cast<int>(pin.engine);
-    EXPECT_EQ(crc32c(z.data(), z.size()), pin.crc)
-        << pin.file << " engine " << static_cast<int>(pin.engine);
-    EXPECT_EQ(unzip(z), blob);
-  }
-}
-
-/// A hand-built R2DZ stream: `raw_size` then the given tokens.
-struct ZBlob {
-  std::string bytes;
-  explicit ZBlob(std::uint64_t raw_size) : bytes("R2DZ\x01") {
-    append_varint(bytes, raw_size);
-  }
-  ZBlob& literal(const std::string& text) {
-    bytes.push_back('\x00');
-    append_varint(bytes, text.size());
-    bytes += text;
-    return *this;
-  }
-  ZBlob& copy(std::uint64_t dist, std::uint64_t len) {
-    bytes.push_back('\x01');
-    append_varint(bytes, dist);
-    append_varint(bytes, len);
-    return *this;
-  }
-};
-
-TEST(BlobCodec, DecodesEveryCopyShape) {
-  const std::string digits = "0123456789";
-  const std::string twenty = "abcdefghijklmnopqrst";
-  struct Case {
-    const char* what;
-    std::string blob;
-    std::string want;
-  };
-  const Case cases[] = {
-      {"dist 1 run", ZBlob(11).literal("x").copy(1, 10).bytes,
-       std::string(11, 'x')},
-      {"dist < len", ZBlob(13).literal("abc").copy(3, 10).bytes,
-       "abcabcabcabca"},
-      {"dist == len", ZBlob(8).literal("abcd").copy(4, 4).bytes,
-       "abcdabcd"},
-      {"8 <= dist < len", ZBlob(35).literal(digits).copy(10, 25).bytes,
-       digits + digits + digits + "01234"},
-      {"short overlapping copy", ZBlob(22).literal(digits).copy(10, 12).bytes,
-       digits + digits + "01"},
-      {"short copy from far back",
-       ZBlob(25).literal(twenty).copy(20, 5).bytes, twenty + "abcde"},
-      {"long copy", ZBlob(40).literal(twenty).copy(20, 20).bytes,
-       twenty + twenty},
-      {"literal only", ZBlob(10).literal(digits).bytes, digits},
-      {"literals back to back",
-       ZBlob(13).literal("abc").literal(digits).bytes, "abc" + digits},
-      {"empty", ZBlob(0).bytes, ""},
-  };
-  for (const Case& c : cases) {
-    const std::optional<std::string> back = unzip(c.blob);
-    ASSERT_TRUE(back.has_value()) << c.what;
-    EXPECT_EQ(*back, c.want) << c.what;
-  }
-  // The same shapes through the compressor: a dist-1 run, a short period,
-  // literal-only and empty inputs all round-trip.
-  for (const std::string& raw :
-       {std::string(1000, 'z'), std::string("abcabcabcabcabcabcabca"),
-        std::string("abcd"), std::string("abcdabcd"), digits,
-        std::string()}) {
-    EXPECT_EQ(unzip(blob_compress(raw)), raw) << raw;
-  }
-}
-
-TEST(BlobCodec, RejectsEveryBoundViolation) {
-  EXPECT_FALSE(unzip(ZBlob(kMaxBlobBytes + 1).literal("x").bytes))
-      << "raw_size above kMaxBlobBytes";
-  EXPECT_FALSE(unzip(ZBlob(6).literal("ab").copy(3, 4).bytes))
-      << "distance past the output written so far";
-  EXPECT_FALSE(unzip(ZBlob(6).literal("ab").copy(0, 4).bytes))
-      << "zero distance";
-  EXPECT_FALSE(unzip(ZBlob(5).literal("ab").copy(2, 3).bytes))
-      << "copy shorter than the minimum match";
-  EXPECT_FALSE(unzip(ZBlob(5).literal("ab").copy(2, 4).bytes))
-      << "copy past raw_size";
-  EXPECT_FALSE(unzip(ZBlob(3).literal("abcd").bytes))
-      << "literal past raw_size";
-  EXPECT_FALSE(unzip(ZBlob(5).literal("abcd").bytes))
-      << "output shorter than raw_size";
-  std::string overlong = ZBlob(1).bytes;
-  overlong += std::string("\x00\x81\x00", 3) + "x";  // 1 as a 2-byte varint
-  EXPECT_FALSE(unzip(overlong)) << "non-canonical varint";
-}
-
-TEST(BlobCodec, EveryTruncationIsRejected) {
-  std::string periodic;
-  for (int i = 0; i < 300; ++i) periodic += "abcdefg" + std::to_string(i % 7);
-  std::mt19937_64 rng(11);
-  std::string mixed;
-  for (int i = 0; i < 600; ++i)
-    mixed.push_back(static_cast<char>(rng() % 5 == 0 ? rng() & 0xFF : 'q'));
-  for (const std::string& raw : {periodic, mixed, std::string("abc")}) {
-    const std::string z = blob_compress(raw);
-    ASSERT_EQ(unzip(z), raw);
-    for (std::size_t len = 0; len < z.size(); ++len)
-      EXPECT_FALSE(unzip(z.substr(0, len)).has_value())
-          << "prefix " << len << " of " << z.size();
-  }
-}
-
 // ---- spill tier -----------------------------------------------------------
 
 struct TempDir {
@@ -626,9 +472,9 @@ TEST(SpillTier, FailedWriteKeepsTheLruVictimsLoadable) {
   SpillTier tier(dir.path.string(), 3 * (incompressible.size() + 256));
   for (std::uint32_t id = 1; id <= 3; ++id)
     ASSERT_TRUE(tier.store(id, incompressible + std::to_string(id)).stored);
-  // A directory squatting on the temp path makes the write fail. The tier
+  // A directory squatting on the spill path makes the write fail. The tier
   // is full, so a successful store would have dropped session 1.
-  std::filesystem::create_directories(dir.path / "sess-4.spill.tmp");
+  std::filesystem::create_directories(dir.path / "sess-4.spill");
   const SpillTier::StoreResult failed = tier.store(4, incompressible);
   EXPECT_FALSE(failed.stored);
   EXPECT_TRUE(failed.dropped.empty());
